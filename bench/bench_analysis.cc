@@ -25,7 +25,6 @@
 
 #include "arch/config.hh"
 #include "bench_json.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "event/analysis.hh"
 #include "event/event.hh"
@@ -138,9 +137,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== bottleneck-analysis overhead (warmup %d, "
-                "reps %d, trim %d, cache off) ===\n",
+                "reps %d, trim %d) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runAnalysisBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

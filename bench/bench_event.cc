@@ -24,7 +24,6 @@
 
 #include "arch/config.hh"
 #include "bench_json.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "event/event.hh"
 #include "ir/lower.hh"
@@ -132,9 +131,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== event-backend scheduling overhead (warmup %d, "
-                "reps %d, trim %d, cache off) ===\n",
+                "reps %d, trim %d) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runEventBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

@@ -17,14 +17,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/cache.hh"
+#include "common/env.hh"
+#include "common/export_util.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
@@ -165,9 +165,7 @@ class JsonReport
         out += "\n  ],\n";
         out += "  \"provenance\": {\"threads\": " +
                std::to_string(ThreadPool::globalThreadCount()) +
-               ", \"cache\": " +
-               (cacheEnabled() ? "true" : "false") + ", \"env\": {" +
-               envEntries() + "}},\n";
+               ", \"env\": {" + envEntries() + "}},\n";
         out += "  \"metrics\": " + metrics::toJson() + "\n}\n";
         return out;
     }
@@ -215,24 +213,10 @@ class JsonReport
     envEntries()
     {
         std::string out;
-        bool first = true;
-        for (const char *name :
-             {"INCA_TRACE", "INCA_METRICS", "INCA_NUM_THREADS",
-              "INCA_CACHE", "INCA_KERNEL_ISA"}) {
-            if (!first)
+        for (const std::string &name : knownEnvVars()) {
+            if (!out.empty())
                 out += ", ";
-            first = false;
-            const char *v = std::getenv(name);
-            out += '"';
-            out += name;
-            out += "\": ";
-            if (v) {
-                out += '"';
-                out += escape(v);
-                out += '"';
-            } else {
-                out += "null";
-            }
+            out += "\"" + name + "\": " + envJson(name.c_str());
         }
         return out;
     }

@@ -10,8 +10,8 @@
  * each subject is timed through the cost table alone (isa "scalar")
  * and through the full simulate() (isa "serving"), interleaved at
  * repetition granularity so host drift cancels in the ratio the gate
- * compares. Both arms run cache-off, so each repetition recomputes
- * the same event executions. The committed baseline
+ * compares. Both arms start from a cold batch-cost cache, so each
+ * repetition recomputes the same event executions. The committed baseline
  * (bench/baselines/BENCH_serving.json) pins the relative cost;
  * bench_compare --relative-to-scalar fails a confirmed >15%
  * regression of it.
@@ -87,6 +87,7 @@ subjects()
 double
 timeOnce(const Subject &subject, bool fullServing)
 {
+    clearAllCaches();
     const Clock::time_point t0 = Clock::now();
     if (fullServing) {
         const serving::ServingReport rep =
@@ -166,9 +167,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== serving-simulator overhead (warmup %d, reps %d, "
-                "trim %d, cache off) ===\n",
+                "trim %d, cold cache) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runServingBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

@@ -84,7 +84,7 @@ main(int argc, char **argv)
                 "paper's Fig. 11/14/15 shapes: INCA ahead everywhere, "
                 "training >> inference, light models >> heavy.\n");
     // Timing and cache stats go to stderr so stdout stays byte-equal
-    // between cached, uncached, and any-thread-count runs.
+    // at any thread count.
     sim::printPhaseTimes(stderr);
     if (!jsonPath.empty())
         bench::JsonReport::instance().write(jsonPath);

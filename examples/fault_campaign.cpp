@@ -7,7 +7,7 @@
  * write-verify retry and spare-line remapping, and prints accuracy,
  * residual error, spare usage, and the mitigation's energy/latency
  * surcharge per point. The output is bit-identical at any thread
- * count and across cached/uncached runs.
+ * count.
  *
  *   $ ./build/examples/fault_campaign --network resnet18 \
  *       --trials 16 --retries 2 --spare-rows 4 --spare-cols 2 \
@@ -195,8 +195,8 @@ main(int argc, char **argv)
     if (!jsonPath.empty())
         sim::writeFile(jsonPath, reliability::campaignJson(result));
 
-    // Timing goes to stderr so stdout stays byte-equal between
-    // cached, uncached, and any-thread-count runs.
+    // Timing goes to stderr so stdout stays byte-equal at any
+    // thread count.
     sim::printPhaseTimes(stderr);
     return 0;
 }

@@ -11,8 +11,9 @@
  *       --json report.json --csv requests.csv
  *
  * The report -- and every exported artifact -- is bit-identical at
- * any thread count and with the eval cache on or off: the simulated
- * clock advances only on event timestamps, never on wall time.
+ * any thread count and from a cold or warm batch-cost cache: the
+ * simulated clock advances only on event timestamps, never on wall
+ * time.
  */
 
 #include <cstdio>

@@ -22,7 +22,7 @@
  *
  * Stdout is byte-stable across backends with --overlap off (the
  * bit-exactness contract; CI diffs analytic vs event output) and
- * across thread counts and cache settings; the bottleneck report is a
+ * across thread counts; the bottleneck report is a
  * pure function of the schedule, so it keeps that property. Schedule
  * diagnostics go to stderr. With INCA_TRACE=<path> the event backend
  * emits spans, sync instants, critical-path flow arrows, and a

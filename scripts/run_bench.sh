@@ -1,8 +1,8 @@
 #!/bin/sh
 # Measure the kernel + campaign perf trajectory into BENCH_*.json at
-# the repo root, under a pinned environment (fixed thread count, cache
-# policy chosen by each bench, no ISA override -- the benches force
-# ISAs internally via kernels::setActive). Run from anywhere.
+# the repo root, under a pinned environment (fixed thread count, no
+# ISA override -- the benches force ISAs internally via
+# kernels::setActive). Run from anywhere.
 #
 #   scripts/run_bench.sh [--compare [BASELINE_DIR]]
 #

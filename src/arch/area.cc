@@ -1,19 +1,9 @@
 #include "arch/area.hh"
 
-#include "common/cache.hh"
-
 namespace inca {
 namespace arch {
 
 namespace {
-
-EvalCache<AreaBreakdown> &
-areaCache()
-{
-    static EvalCache<AreaBreakdown> *c =
-        new EvalCache<AreaBreakdown>("arch.area");
-    return *c;
-}
 
 // Post-processing (ReLU + max-pool) per tile; Table V reports
 // 3.656 mm^2 for 168 tiles in both designs.
@@ -47,49 +37,39 @@ baselineSubarrayArea(const BaselineConfig &cfg)
 AreaBreakdown
 incaArea(const IncaConfig &cfg)
 {
-    CacheKey key;
-    key.add("inca-area");
-    appendKey(key, cfg);
-    return areaCache().getOrCompute(key, [&] {
-        AreaBreakdown a;
-        const double tiles = cfg.org.numTiles;
-        const double subarrays = double(cfg.org.totalSubarrays());
+    AreaBreakdown a;
+    const double tiles = cfg.org.numTiles;
+    const double subarrays = double(cfg.org.totalSubarrays());
 
-        a.buffer = tiles * cfg.buffer.area();
-        a.array = subarrays * incaStackArea(cfg);
-        // One shared ADC per 3D stack (Table V counts 168 x 12 x 8).
-        a.adc = subarrays * cfg.adc().area;
-        // One 1-bit DAC per pillar: 16 x 16 = 256 per stack.
-        const double dacsPerStack =
-            double(cfg.subarraySize) * cfg.subarraySize;
-        a.dac = subarrays * dacsPerStack * circuit::makeDac().area;
-        a.postProcessing = tiles * kPostPerTile;
-        a.others = tiles * kOthersPerTileInca;
-        return a;
-    });
+    a.buffer = tiles * cfg.buffer.area();
+    a.array = subarrays * incaStackArea(cfg);
+    // One shared ADC per 3D stack (Table V counts 168 x 12 x 8).
+    a.adc = subarrays * cfg.adc().area;
+    // One 1-bit DAC per pillar: 16 x 16 = 256 per stack.
+    const double dacsPerStack =
+        double(cfg.subarraySize) * cfg.subarraySize;
+    a.dac = subarrays * dacsPerStack * circuit::makeDac().area;
+    a.postProcessing = tiles * kPostPerTile;
+    a.others = tiles * kOthersPerTileInca;
+    return a;
 }
 
 AreaBreakdown
 baselineArea(const BaselineConfig &cfg)
 {
-    CacheKey key;
-    key.add("ws-area");
-    appendKey(key, cfg);
-    return areaCache().getOrCompute(key, [&] {
-        AreaBreakdown a;
-        const double tiles = cfg.org.numTiles;
-        const double subarrays = double(cfg.org.totalSubarrays());
+    AreaBreakdown a;
+    const double tiles = cfg.org.numTiles;
+    const double subarrays = double(cfg.org.totalSubarrays());
 
-        a.buffer = tiles * cfg.buffer.area();
-        a.array = subarrays * baselineSubarrayArea(cfg);
-        a.adc = subarrays * cfg.adc().area;
-        // One 1-bit DAC per crossbar row.
-        a.dac = subarrays * double(cfg.subarraySize) *
-                circuit::makeDac().area;
-        a.postProcessing = tiles * kPostPerTile;
-        a.others = tiles * kOthersPerTileBaseline;
-        return a;
-    });
+    a.buffer = tiles * cfg.buffer.area();
+    a.array = subarrays * baselineSubarrayArea(cfg);
+    a.adc = subarrays * cfg.adc().area;
+    // One 1-bit DAC per crossbar row.
+    a.dac = subarrays * double(cfg.subarraySize) *
+            circuit::makeDac().area;
+    a.postProcessing = tiles * kPostPerTile;
+    a.others = tiles * kOthersPerTileBaseline;
+    return a;
 }
 
 } // namespace arch

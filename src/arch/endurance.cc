@@ -2,21 +2,12 @@
 
 #include <algorithm>
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
 namespace arch {
 
 namespace {
-
-EvalCache<EnduranceReport> &
-enduranceCache()
-{
-    static EvalCache<EnduranceReport> *c =
-        new EvalCache<EnduranceReport>("arch.endurance");
-    return *c;
-}
 
 EnduranceReport
 finish(EnduranceReport r, double enduranceRating)
@@ -39,31 +30,24 @@ incaEndurance(const nn::NetworkDesc &net, const IncaConfig &cfg,
               int batchSize, double enduranceRating)
 {
     inca_assert(batchSize > 0, "batch size must be positive");
-    CacheKey key;
-    key.add("inca-endurance");
-    appendKey(key, net);
-    appendKey(key, cfg);
-    key.add(batchSize).add(enduranceRating);
-    return enduranceCache().getOrCompute(key, [&] {
-        EnduranceReport r;
-        const double aBits = cfg.activationBits;
-        double activationsPerImage = 0.0;
-        double outputWritesPerImage = 0.0;
-        for (const auto &layer : net.layers) {
-            if (!layer.isConvLike())
-                continue;
-            activationsPerImage += double(layer.inputCount());
-            // Forward: outputs written into the next layer's planes.
-            outputWritesPerImage += double(layer.outputCount());
-            // Backward: errors overwrite this layer's activation cells.
-            outputWritesPerImage += double(layer.inputCount());
-        }
-        r.writesPerIteration =
-            outputWritesPerImage * aBits * double(batchSize);
-        r.cellsWritten =
-            activationsPerImage * aBits * double(batchSize);
-        return finish(r, enduranceRating);
-    });
+    EnduranceReport r;
+    const double aBits = cfg.activationBits;
+    double activationsPerImage = 0.0;
+    double outputWritesPerImage = 0.0;
+    for (const auto &layer : net.layers) {
+        if (!layer.isConvLike())
+            continue;
+        activationsPerImage += double(layer.inputCount());
+        // Forward: outputs written into the next layer's planes.
+        outputWritesPerImage += double(layer.outputCount());
+        // Backward: errors overwrite this layer's activation cells.
+        outputWritesPerImage += double(layer.inputCount());
+    }
+    r.writesPerIteration =
+        outputWritesPerImage * aBits * double(batchSize);
+    r.cellsWritten =
+        activationsPerImage * aBits * double(batchSize);
+    return finish(r, enduranceRating);
 }
 
 EnduranceReport
@@ -72,32 +56,25 @@ baselineEndurance(const nn::NetworkDesc &net,
                   double enduranceRating)
 {
     inca_assert(batchSize > 0, "batch size must be positive");
-    CacheKey key;
-    key.add("ws-endurance");
-    appendKey(key, net);
-    appendKey(key, cfg);
-    key.add(batchSize).add(enduranceRating);
-    return enduranceCache().getOrCompute(key, [&] {
-        EnduranceReport r;
-        const double wBits = cfg.weightBits;
-        const double aBits = cfg.activationBits;
-        const double weights = double(net.totalWeights());
-        // Weight update: originals + transposed copies, once per batch.
-        const double weightWrites = 2.0 * weights * wBits;
-        // PipeLayer keeps activations and errors in RRAM per image.
-        double actsPerImage = 0.0;
-        for (const auto &layer : net.layers) {
-            if (layer.isConvLike())
-                actsPerImage += double(layer.inputCount());
-        }
-        const double actWrites =
-            2.0 * actsPerImage * aBits * double(batchSize);
-        r.writesPerIteration = weightWrites + actWrites;
-        r.cellsWritten =
-            2.0 * weights * wBits +
-            2.0 * actsPerImage * aBits * double(batchSize);
-        return finish(r, enduranceRating);
-    });
+    EnduranceReport r;
+    const double wBits = cfg.weightBits;
+    const double aBits = cfg.activationBits;
+    const double weights = double(net.totalWeights());
+    // Weight update: originals + transposed copies, once per batch.
+    const double weightWrites = 2.0 * weights * wBits;
+    // PipeLayer keeps activations and errors in RRAM per image.
+    double actsPerImage = 0.0;
+    for (const auto &layer : net.layers) {
+        if (layer.isConvLike())
+            actsPerImage += double(layer.inputCount());
+    }
+    const double actWrites =
+        2.0 * actsPerImage * aBits * double(batchSize);
+    r.writesPerIteration = weightWrites + actWrites;
+    r.cellsWritten =
+        2.0 * weights * wBits +
+        2.0 * actsPerImage * aBits * double(batchSize);
+    return finish(r, enduranceRating);
 }
 
 } // namespace arch

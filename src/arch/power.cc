@@ -1,31 +1,9 @@
 #include "arch/power.hh"
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
 namespace arch {
-
-void
-appendKey(CacheKey &key, const LeakageDensity &d)
-{
-    key.add("leakage")
-        .add(d.adc8bit)
-        .add(d.buffer)
-        .add(d.digital)
-        .add(d.array);
-}
-
-namespace {
-
-EvalCache<Watts> &
-powerCache()
-{
-    static EvalCache<Watts> *c = new EvalCache<Watts>("arch.power");
-    return *c;
-}
-
-} // namespace
 
 Watts
 idlePowerFromArea(const AreaBreakdown &area, const LeakageDensity &d,
@@ -42,31 +20,19 @@ idlePowerFromArea(const AreaBreakdown &area, const LeakageDensity &d,
 Watts
 incaIdlePower(const IncaConfig &cfg, const LeakageDensity &density)
 {
-    CacheKey key;
-    key.add("inca-idle");
-    appendKey(key, cfg);
-    appendKey(key, density);
-    return powerCache().getOrCompute(key, [&] {
-        // IS knows which stacks hold live activations; idle ADC groups
-        // power-gate.
-        constexpr double kAdcActiveFraction = 0.25;
-        return idlePowerFromArea(incaArea(cfg), density, cfg.adcBits,
-                                 kAdcActiveFraction);
-    });
+    // IS knows which stacks hold live activations; idle ADC groups
+    // power-gate.
+    constexpr double kAdcActiveFraction = 0.25;
+    return idlePowerFromArea(incaArea(cfg), density, cfg.adcBits,
+                             kAdcActiveFraction);
 }
 
 Watts
 baselineIdlePower(const BaselineConfig &cfg,
                   const LeakageDensity &density)
 {
-    CacheKey key;
-    key.add("ws-idle");
-    appendKey(key, cfg);
-    appendKey(key, density);
-    return powerCache().getOrCompute(key, [&] {
-        return idlePowerFromArea(baselineArea(cfg), density,
-                                 cfg.adcBits, 1.0);
-    });
+    return idlePowerFromArea(baselineArea(cfg), density,
+                             cfg.adcBits, 1.0);
 }
 
 } // namespace arch

@@ -68,9 +68,6 @@ Watts incaIdlePower(const IncaConfig &cfg,
 Watts baselineIdlePower(const BaselineConfig &cfg,
                         const LeakageDensity &density = {});
 
-/** Append every field of @p d to @p key (cache canonicalization). */
-void appendKey(CacheKey &key, const LeakageDensity &d);
-
 } // namespace arch
 } // namespace inca
 

@@ -1,6 +1,5 @@
 #include "arch/utilization.hh"
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -8,14 +7,6 @@ namespace inca {
 namespace arch {
 
 namespace {
-
-EvalCache<double> &
-utilizationCache()
-{
-    static EvalCache<double> *c =
-        new EvalCache<double>("arch.utilization");
-    return *c;
-}
 
 /** Allocated IS cells for one layer (per image, one bit plane). */
 double
@@ -90,42 +81,30 @@ wsLayerUtilization(const nn::LayerDesc &layer, int arraySize,
 double
 incaNetworkUtilization(const nn::NetworkDesc &net, int arraySize)
 {
-    CacheKey key;
-    key.add("inca-util");
-    appendKey(key, net);
-    key.add(arraySize);
-    return utilizationCache().getOrCompute(key, [&] {
-        double used = 0.0, alloc = 0.0;
-        for (const auto &l : net.layers) {
-            if (!l.isConvLike())
-                continue;
-            alloc += incaAllocated(l, arraySize);
-            used += l.kind == nn::LayerKind::FullyConnected
-                        ? double(l.inC)
-                        : double(l.inputCount());
-        }
-        return alloc == 0.0 ? 0.0 : used / alloc;
-    });
+    double used = 0.0, alloc = 0.0;
+    for (const auto &l : net.layers) {
+        if (!l.isConvLike())
+            continue;
+        alloc += incaAllocated(l, arraySize);
+        used += l.kind == nn::LayerKind::FullyConnected
+                    ? double(l.inC)
+                    : double(l.inputCount());
+    }
+    return alloc == 0.0 ? 0.0 : used / alloc;
 }
 
 double
 wsNetworkUtilization(const nn::NetworkDesc &net, int arraySize,
                      int weightBits)
 {
-    CacheKey key;
-    key.add("ws-util");
-    appendKey(key, net);
-    key.add(arraySize).add(weightBits);
-    return utilizationCache().getOrCompute(key, [&] {
-        double used = 0.0, alloc = 0.0;
-        for (const auto &l : net.layers) {
-            if (!l.isConvLike())
-                continue;
-            alloc += wsAllocated(l, arraySize, weightBits);
-            used += wsUsed(l, weightBits);
-        }
-        return alloc == 0.0 ? 0.0 : used / alloc;
-    });
+    double used = 0.0, alloc = 0.0;
+    for (const auto &l : net.layers) {
+        if (!l.isConvLike())
+            continue;
+        alloc += wsAllocated(l, arraySize, weightBits);
+        used += wsUsed(l, weightBits);
+    }
+    return alloc == 0.0 ? 0.0 : used / alloc;
 }
 
 } // namespace arch

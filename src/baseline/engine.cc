@@ -14,15 +14,7 @@ using arch::RunCost;
 
 namespace {
 
-/** Whole-run evaluations (one network, phase, batch). */
-EvalCache<RunCost> &
-wsRunCache()
-{
-    static EvalCache<RunCost> *c = new EvalCache<RunCost>("ws.run");
-    return *c;
-}
-
-/** Wall clock of one cached whole-run evaluation. */
+/** Wall clock of one whole-run evaluation. */
 metrics::Histogram &
 runEvalHistogram()
 {
@@ -36,7 +28,6 @@ runEvalHistogram()
 BaselineEngine::BaselineEngine(arch::BaselineConfig cfg)
     : cfg_(std::move(cfg)), idlePower_(arch::baselineIdlePower(cfg_))
 {
-    arch::appendKey(cfgKey_, cfg_);
 }
 
 RunCost
@@ -46,14 +37,8 @@ BaselineEngine::inference(const nn::NetworkDesc &net,
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("ws.inference ", net.name));
     metrics::ScopedTimer timer(runEvalHistogram());
-    CacheKey key = cfgKey_;
-    key.add("run-inference");
-    nn::appendKey(key, net);
-    key.add(batchSize);
-    return wsRunCache().getOrCompute(key, [&] {
-        return ir::analyticWalk(
-            ir::lowerWs(cfg_, net, Phase::Inference, batchSize));
-    });
+    return ir::analyticWalk(
+        ir::lowerWs(cfg_, net, Phase::Inference, batchSize));
 }
 
 RunCost
@@ -62,14 +47,8 @@ BaselineEngine::training(const nn::NetworkDesc &net, int batchSize) const
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("ws.training ", net.name));
     metrics::ScopedTimer timer(runEvalHistogram());
-    CacheKey key = cfgKey_;
-    key.add("run-training");
-    nn::appendKey(key, net);
-    key.add(batchSize);
-    return wsRunCache().getOrCompute(key, [&] {
-        return ir::analyticWalk(
-            ir::lowerWs(cfg_, net, Phase::Training, batchSize));
-    });
+    return ir::analyticWalk(
+        ir::lowerWs(cfg_, net, Phase::Training, batchSize));
 }
 
 } // namespace baseline

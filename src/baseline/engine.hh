@@ -27,7 +27,6 @@
 
 #include "arch/config.hh"
 #include "arch/cost.hh"
-#include "common/cache.hh"
 #include "nn/network.hh"
 
 namespace inca {
@@ -55,7 +54,6 @@ class BaselineEngine
   private:
     arch::BaselineConfig cfg_;
     Watts idlePower_;
-    CacheKey cfgKey_; ///< canonical key prefix for cfg_
 };
 
 } // namespace baseline

@@ -1,6 +1,5 @@
 #include "baseline/mapping.hh"
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -41,20 +40,12 @@ std::int64_t
 arraysForNetwork(const nn::NetworkDesc &net,
                  const arch::BaselineConfig &cfg)
 {
-    static EvalCache<std::int64_t> *cache =
-        new EvalCache<std::int64_t>("ws.arrays");
-    CacheKey key;
-    key.add("arrays");
-    nn::appendKey(key, net);
-    arch::appendKey(key, cfg);
-    return cache->getOrCompute(key, [&] {
-        std::int64_t total = 0;
-        for (const auto &layer : net.layers) {
-            if (layer.isConvLike())
-                total += mapLayer(layer, cfg).arrays();
-        }
-        return total;
-    });
+    std::int64_t total = 0;
+    for (const auto &layer : net.layers) {
+        if (layer.isConvLike())
+            total += mapLayer(layer, cfg).arrays();
+    }
+    return total;
 }
 
 } // namespace baseline

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -38,21 +37,15 @@ makeAdc(int bits)
 {
     inca_assert(bits >= 1 && bits <= 12, "unsupported ADC resolution %d",
                 bits);
-    static EvalCache<AdcModel> *cache =
-        new EvalCache<AdcModel>("circuit.adc");
-    CacheKey key;
-    key.add("adc").add(bits);
-    return cache->getOrCompute(key, [&] {
-        AdcModel adc;
-        adc.bits = bits;
-        // Linear interpolation of clock between the two published
-        // points, extrapolated gently outside [4, 8].
-        adc.frequencyHz = kFreq4 + (kFreq8 - kFreq4) * (bits - 4) / 4.0;
-        adc.energyPerConversion = kE4 * std::pow(2.0, (bits - 4) / 2.0);
-        const double ratio = kArea8 / kArea4;
-        adc.area = kArea4 * std::pow(ratio, (bits - 4) / 4.0);
-        return adc;
-    });
+    AdcModel adc;
+    adc.bits = bits;
+    // Linear interpolation of clock between the two published
+    // points, extrapolated gently outside [4, 8].
+    adc.frequencyHz = kFreq4 + (kFreq8 - kFreq4) * (bits - 4) / 4.0;
+    adc.energyPerConversion = kE4 * std::pow(2.0, (bits - 4) / 2.0);
+    const double ratio = kArea8 / kArea4;
+    adc.area = kArea4 * std::pow(ratio, (bits - 4) / 4.0);
+    return adc;
 }
 
 DacModel

@@ -1,8 +1,5 @@
 #include "common/cache.hh"
 
-#include <cctype>
-#include <cstdlib>
-
 #include "common/trace.hh"
 
 namespace inca {
@@ -26,38 +23,7 @@ registry()
     return *r;
 }
 
-std::atomic<bool> &
-enabledFlag()
-{
-    static std::atomic<bool> *flag = new std::atomic<bool>(
-        cacheEnabledFromEnv(std::getenv("INCA_CACHE")));
-    return *flag;
-}
-
 } // namespace
-
-bool
-cacheEnabledFromEnv(const char *value)
-{
-    if (value == nullptr || *value == '\0')
-        return true;
-    std::string v;
-    for (const char *p = value; *p != '\0'; ++p)
-        v.push_back(char(std::tolower(static_cast<unsigned char>(*p))));
-    return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
-
-bool
-cacheEnabled()
-{
-    return enabledFlag().load(std::memory_order_relaxed);
-}
-
-void
-setCacheEnabled(bool enabled)
-{
-    enabledFlag().store(enabled, std::memory_order_relaxed);
-}
 
 CacheBase::CacheBase(std::string name)
     : name_(std::move(name)),

@@ -1,15 +1,20 @@
 /**
  * @file
- * Content-addressed memoization for the analytic evaluation paths.
+ * Content-addressed memoization, and the canonical keys behind the
+ * simulator's provenance hashes.
  *
- * Design-space sweeps evaluate many design points that share
- * sub-configurations: the same layer shape recurs dozens of times
- * inside one network, the same network is re-simulated at every
- * benchmark iteration, and the circuit/area/footprint models are pure
- * functions of small config structs. An EvalCache memoizes those
- * evaluations so sweeps scale with the number of *unique*
- * (tech, geometry, layer-shape) keys instead of the number of design
- * points.
+ * CacheKey is the canonical byte string of a computation's inputs.
+ * Besides keying the cache below, its hash is the config_key_hash
+ * every export carries, part of the DSE journal signature, and the
+ * seed of each fault-campaign point's trial streams.
+ *
+ * EvalCache memoizes one evaluation: the serving cost table's
+ * per-(chip, network, shard, batch size) batch costs ("serving.batch"),
+ * which serving-axis DSE sweeps revisit across candidates and waves.
+ * It is the only cache, and it is always on. The other analytic
+ * models are cheap enough that a memo does not pay for its key
+ * building and lookups, and dse::Explorer::run already evaluates each
+ * distinct candidate once per run.
  *
  * Correctness contract (and why it is easy to honor):
  *  - Every cached function is a pure function of its canonicalized
@@ -17,17 +22,14 @@
  *    inputs -- the map compares whole keys, never just hashes, so a
  *    hash collision can degrade sharding but never aliasing.
  *  - A hit returns a copy of a value that was produced by the exact
- *    same arithmetic, so cached and uncached runs are bit-identical
- *    at every thread count.
+ *    same arithmetic, so cold and warm runs are bit-identical at
+ *    every thread count.
  *  - Two threads that miss the same key concurrently both compute the
  *    (identical) value; the first insert wins. No lock is held while
  *    computing, so the shards compose with the ThreadPool fan-out.
  *
- * The cache is process-wide and ON by default; INCA_CACHE=0 (or
- * "off"/"false"/"no") disables every EvalCache, turning getOrCompute
- * into a plain call. Each cache keeps hit/miss/eviction counters and
- * the wall-clock spent in misses, from which the reports estimate the
- * time the hits saved (see sim::printPhaseTimes).
+ * Each cache keeps hit/miss/eviction counters and the wall-clock
+ * spent in misses (see sim::printCacheStats).
  */
 
 #ifndef INCA_COMMON_CACHE_HH
@@ -45,20 +47,6 @@
 #include "common/metrics.hh"
 
 namespace inca {
-
-/** True when the process-wide evaluation cache is enabled. */
-bool cacheEnabled();
-
-/** Programmatic override of the INCA_CACHE switch (testing hook). */
-void setCacheEnabled(bool enabled);
-
-/**
- * Parse an INCA_CACHE-style value: nullptr/"", "1", "on", "true",
- * "yes" enable; "0", "off", "false", "no" disable (case-insensitive).
- * Unrecognized values enable (cache on is the safe default: results
- * are bit-identical either way).
- */
-bool cacheEnabledFromEnv(const char *value);
 
 /**
  * Canonical content-addressed key: an append-only byte string plus an
@@ -148,14 +136,6 @@ struct CacheStatsSnapshot
         const double lookups = double(hits) + double(misses);
         return lookups == 0.0 ? 0.0 : double(hits) / lookups;
     }
-
-    /** Estimated wall clock the hits avoided (hits x mean miss). */
-    double estimatedSavedSeconds() const
-    {
-        return misses == 0
-                   ? 0.0
-                   : double(hits) * (missSeconds / double(misses));
-    }
 };
 
 /**
@@ -235,14 +215,11 @@ class EvalCache : public CacheBase
 
     /**
      * Return the cached value for @p key, or run @p compute, insert,
-     * and return it. With the cache disabled this is exactly
-     * compute().
+     * and return it.
      */
     template <typename Fn>
     V getOrCompute(const CacheKey &key, Fn &&compute)
     {
-        if (!cacheEnabled())
-            return compute();
         Shard &shard = shards_[key.hash() % shards_.size()];
         {
             std::lock_guard<std::mutex> lock(shard.mutex);

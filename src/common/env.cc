@@ -15,7 +15,6 @@ const std::vector<std::string> &
 knownEnvVars()
 {
     static const std::vector<std::string> known = {
-        "INCA_CACHE",
         "INCA_KERNEL_ISA",
         "INCA_METRICS",
         "INCA_NUM_THREADS",

@@ -3,7 +3,7 @@
  * Environment-variable hygiene.
  *
  * The simulator reads a small, fixed set of INCA_* switches (tracing,
- * metrics, threading, caching). A typo like INCA_TRACES silently does
+ * metrics, threading, kernel ISA). A typo like INCA_TRACES silently does
  * nothing, which is the worst failure mode for a reproducibility
  * manifest -- the run looks configured but is not. checkEnvironment()
  * scans the process environment once and warn()s about every

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/cache.hh"
+#include "common/env.hh"
 #include "common/thread_pool.hh"
 
 namespace inca {
@@ -52,11 +52,10 @@ provenanceJson(const std::string &leadMember,
                const std::string &indent)
 {
     std::ostringstream os;
-    os << indent << leadMember << ",\n";
+    if (!leadMember.empty())
+        os << indent << leadMember << ",\n";
     os << indent << "\"threads\": "
        << ThreadPool::globalThreadCount() << ",\n";
-    os << indent << "\"cache\": "
-       << (cacheEnabled() ? "true" : "false") << ",\n";
 #ifdef INCA_BUILD_TYPE
     os << indent << "\"build_type\": \"" << jsonEscape(INCA_BUILD_TYPE)
        << "\",\n";
@@ -64,13 +63,10 @@ provenanceJson(const std::string &leadMember,
     os << indent << "\"build_type\": \"unknown\",\n";
 #endif
     os << indent << "\"env\": {";
-    bool firstEnv = true;
-    for (const char *name : {"INCA_TRACE", "INCA_METRICS",
-                             "INCA_NUM_THREADS", "INCA_CACHE"}) {
-        if (!firstEnv)
-            os << ", ";
-        firstEnv = false;
-        os << "\"" << name << "\": " << envJson(name);
+    const char *sep = "";
+    for (const std::string &name : knownEnvVars()) {
+        os << sep << "\"" << name << "\": " << envJson(name.c_str());
+        sep = ", ";
     }
     os << "}\n";
     return os.str();

@@ -33,12 +33,13 @@ std::string envJson(const char *name);
 
 /**
  * The standard run-provenance manifest body: enough to reproduce the
- * run -- one caller-supplied identity member (a config key hash or a
- * run signature; pre-rendered, e.g. "\"config_key_hash\": \"0x12\""),
- * the execution knobs (threads, cache), the build, and the INCA_*
- * environment the process saw. Returns the members between the
- * braces, each line prefixed with @p indent and terminated with a
- * newline (no trailing comma), so the caller writes:
+ * run -- one optional caller-supplied identity member (a config key
+ * hash or a run signature; pre-rendered, e.g.
+ * "\"config_key_hash\": \"0x12\""; empty for none), the thread
+ * count, the build, and every knownEnvVars() variable as the process
+ * saw it. Returns the members between the braces, each line prefixed
+ * with @p indent and terminated with a newline (no trailing comma),
+ * so the caller writes:
  *
  *   os << "  \"provenance\": {\n"
  *      << provenanceJson(lead, "    ") << "  }";

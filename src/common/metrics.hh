@@ -4,7 +4,7 @@
  * fixed-bucket histograms.
  *
  * Every subsystem that wants an always-on number registers it here by
- * name ("cache.inca.layer.hit", "pool.task_wait_us",
+ * name ("cache.serving.batch.hit", "pool.task_wait_us",
  * "engine.layer_eval_us") and keeps the returned reference; updates
  * are single relaxed atomics, cheap enough to leave enabled in every
  * build. Two renderers consume the registry: sim::printPhaseTimes

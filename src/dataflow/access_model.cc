@@ -1,33 +1,10 @@
 #include "dataflow/access_model.hh"
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
 namespace inca {
 namespace dataflow {
-
-void
-appendKey(CacheKey &key, const AccessConfig &cfg)
-{
-    key.add("access-cfg")
-        .add(cfg.bitPrecision)
-        .add(cfg.busWidthBits)
-        .add(cfg.includeFullyConnected);
-}
-
-namespace {
-
-/** Network-level access totals are memoized per (net, cfg, phase). */
-EvalCache<AccessSummary> &
-accessCache()
-{
-    static EvalCache<AccessSummary> *c =
-        new EvalCache<AccessSummary>("dataflow.access");
-    return *c;
-}
-
-} // namespace
 
 std::uint64_t
 fetchWordsPerOutput(const nn::LayerDesc &layer, const AccessConfig &cfg)
@@ -78,52 +55,40 @@ isLayerAccesses(const nn::LayerDesc &layer, const AccessConfig &cfg)
 AccessSummary
 networkAccesses(const nn::NetworkDesc &net, const AccessConfig &cfg)
 {
-    CacheKey key;
-    key.add("inference");
-    appendKey(key, net);
-    appendKey(key, cfg);
-    return accessCache().getOrCompute(key, [&] {
-        AccessSummary sum;
-        for (const auto &layer : net.layers) {
-            if (!cfg.includeFullyConnected &&
-                layer.kind == nn::LayerKind::FullyConnected) {
-                continue;
-            }
-            sum.baseline += wsLayerAccesses(layer, cfg);
-            sum.inca += isLayerAccesses(layer, cfg);
+    AccessSummary sum;
+    for (const auto &layer : net.layers) {
+        if (!cfg.includeFullyConnected &&
+            layer.kind == nn::LayerKind::FullyConnected) {
+            continue;
         }
-        return sum;
-    });
+        sum.baseline += wsLayerAccesses(layer, cfg);
+        sum.inca += isLayerAccesses(layer, cfg);
+    }
+    return sum;
 }
 
 AccessSummary
 networkTrainingAccesses(const nn::NetworkDesc &net,
                         const AccessConfig &cfg)
 {
-    CacheKey key;
-    key.add("training");
-    appendKey(key, net);
-    appendKey(key, cfg);
-    return accessCache().getOrCompute(key, [&] {
-        AccessSummary sum;
-        for (const auto &layer : net.layers) {
-            if (!layer.isConvLike())
-                continue;
-            if (!cfg.includeFullyConnected &&
-                layer.kind == nn::LayerKind::FullyConnected) {
-                continue;
-            }
-            // Baseline training (PipeLayer-style): the forward traffic
-            // repeats in the backward pass; updated weights reprogram
-            // the crossbars in situ, not through the buffers.
-            sum.baseline += 2 * wsLayerAccesses(layer, cfg);
-            // INCA training: the backward pass fetches the transposed
-            // weights from the same buffer bytes, doubling the forward
-            // count (Section V-B-1).
-            sum.inca += 2 * isLayerAccesses(layer, cfg);
+    AccessSummary sum;
+    for (const auto &layer : net.layers) {
+        if (!layer.isConvLike())
+            continue;
+        if (!cfg.includeFullyConnected &&
+            layer.kind == nn::LayerKind::FullyConnected) {
+            continue;
         }
-        return sum;
-    });
+        // Baseline training (PipeLayer-style): the forward traffic
+        // repeats in the backward pass; updated weights reprogram
+        // the crossbars in situ, not through the buffers.
+        sum.baseline += 2 * wsLayerAccesses(layer, cfg);
+        // INCA training: the backward pass fetches the transposed
+        // weights from the same buffer bytes, doubling the forward
+        // count (Section V-B-1).
+        sum.inca += 2 * isLayerAccesses(layer, cfg);
+    }
+    return sum;
 }
 
 } // namespace dataflow

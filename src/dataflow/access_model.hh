@@ -26,8 +26,6 @@
 
 namespace inca {
 
-class CacheKey;
-
 namespace dataflow {
 
 /** Precision / bus configuration of the access analysis. */
@@ -45,9 +43,6 @@ struct AccessConfig
      */
     bool includeFullyConnected = false;
 };
-
-/** Append every field of @p cfg to @p key (cache canonicalization). */
-void appendKey(CacheKey &key, const AccessConfig &cfg);
 
 /** Eq. 5: fetch words per output element of @p layer. */
 std::uint64_t fetchWordsPerOutput(const nn::LayerDesc &layer,

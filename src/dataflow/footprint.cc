@@ -1,47 +1,27 @@
 #include "dataflow/footprint.hh"
 
-#include "common/cache.hh"
-
 namespace inca {
 namespace dataflow {
-
-namespace {
-
-EvalCache<FootprintRow> &
-footprintCache()
-{
-    static EvalCache<FootprintRow> *c =
-        new EvalCache<FootprintRow>("dataflow.footprint");
-    return *c;
-}
-
-} // namespace
 
 FootprintRow
 footprint(const nn::NetworkDesc &net, int bitPrecision)
 {
-    CacheKey key;
-    key.add("footprint");
-    appendKey(key, net);
-    key.add(bitPrecision);
-    return footprintCache().getOrCompute(key, [&] {
-        const double bytesPerValue = double(bitPrecision) / 8.0;
-        const double weights =
-            double(net.totalWeights()) * bytesPerValue;
-        const double activations =
-            double(net.totalActivations()) * bytesPerValue;
+    const double bytesPerValue = double(bitPrecision) / 8.0;
+    const double weights =
+        double(net.totalWeights()) * bytesPerValue;
+    const double activations =
+        double(net.totalActivations()) * bytesPerValue;
 
-        FootprintRow row;
-        // Baseline: weights + transposed weights + activations in RRAM;
-        // activations staged through buffers.
-        row.baseline.rram = 2.0 * weights + activations;
-        row.baseline.buffers = activations;
-        // INCA: activations in RRAM (recycled for errors); weights in
-        // buffers (transposed view is a read-order change, not a copy).
-        row.inca.rram = activations;
-        row.inca.buffers = weights;
-        return row;
-    });
+    FootprintRow row;
+    // Baseline: weights + transposed weights + activations in RRAM;
+    // activations staged through buffers.
+    row.baseline.rram = 2.0 * weights + activations;
+    row.baseline.buffers = activations;
+    // INCA: activations in RRAM (recycled for errors); weights in
+    // buffers (transposed view is a read-order change, not a copy).
+    row.inca.rram = activations;
+    row.inca.buffers = weights;
+    return row;
 }
 
 double

@@ -1,21 +1,7 @@
 #include "dataflow/unroll.hh"
 
-#include "common/cache.hh"
-
 namespace inca {
 namespace dataflow {
-
-namespace {
-
-EvalCache<UnrollSummary> &
-unrollCache()
-{
-    static EvalCache<UnrollSummary> *c =
-        new EvalCache<UnrollSummary>("dataflow.unroll");
-    return *c;
-}
-
-} // namespace
 
 std::int64_t
 unrolledInputCount(const nn::LayerDesc &layer)
@@ -41,17 +27,12 @@ directInputCount(const nn::LayerDesc &layer)
 UnrollSummary
 unrollComparison(const nn::NetworkDesc &net)
 {
-    CacheKey key;
-    key.add("unroll");
-    appendKey(key, net);
-    return unrollCache().getOrCompute(key, [&] {
-        UnrollSummary sum;
-        for (const auto &layer : net.layers) {
-            sum.unrolled += unrolledInputCount(layer);
-            sum.direct += directInputCount(layer);
-        }
-        return sum;
-    });
+    UnrollSummary sum;
+    for (const auto &layer : net.layers) {
+        sum.unrolled += unrolledInputCount(layer);
+        sum.direct += directInputCount(layer);
+    }
+    return sum;
 }
 
 } // namespace dataflow

@@ -5,10 +5,10 @@
  * Constraints gate a candidate before the expensive engine run: every
  * bound below is evaluated from the materialized config and the
  * pre-scoring scalars (area, idle power, utilization, accuracy proxy),
- * all of which are pure closed-form functions behind EvalCaches. A
- * rejected candidate costs microseconds instead of a full network
- * walk, which is what makes budgeted random/annealing searches over
- * mostly-infeasible spaces affordable.
+ * all of which are pure closed-form functions. A rejected candidate
+ * costs microseconds instead of a full network walk, which is what
+ * makes budgeted random/annealing searches over mostly-infeasible
+ * spaces affordable.
  *
  * A rejection always names the violated constraint and the offending
  * values -- rejections are warn()ed, never silent, so a sweep that

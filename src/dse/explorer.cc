@@ -39,18 +39,6 @@ num17(double v)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /**
  * Score the event backend for one candidate: makespan plus the
  * bottleneck attribution (the frontier's diagnostic columns).
@@ -388,6 +376,11 @@ Explorer::run()
     // strategy stream below is replayed identically either way; a
     // journal hit just skips the engine run.
     std::unordered_map<std::uint64_t, Evaluation> replay;
+    // Evaluations this run computed, keyed by index. evaluate() is a
+    // pure function of the index, so a revisited candidate (annealing
+    // chains revisit often) is copied from here instead of being
+    // scored again.
+    std::unordered_map<std::uint64_t, Evaluation> memo;
     JournalWriter writer;
     if (!options_.journalPath.empty()) {
         JournalHeader header;
@@ -430,26 +423,43 @@ Explorer::run()
         if (wave.empty())
             break;
 
-        // Fan the wave out; each slot is a pure function of its
-        // candidate index, so contents are scheduling-independent.
-        std::vector<Evaluation> evals(wave.size());
+        // Fan out the wave's distinct indices that neither the
+        // journal nor an earlier proposal has evaluated, each into
+        // its own memo entry (references into an unordered_map stay
+        // valid across inserts). Every entry is a pure function of
+        // its index, so contents are scheduling-independent.
+        std::vector<std::pair<std::uint64_t, Evaluation *>> fresh;
+        for (const std::uint64_t idx : wave) {
+            if (replay.count(idx))
+                continue;
+            const auto [it, inserted] = memo.try_emplace(idx);
+            if (inserted)
+                fresh.emplace_back(idx, &it->second);
+        }
         parallel_for_each(
-            std::int64_t(wave.size()), 1, [&](std::int64_t i) {
-                const std::uint64_t idx = wave[std::size_t(i)];
-                const auto it = replay.find(idx);
-                if (it != replay.end()) {
-                    Evaluation e = it->second;
-                    e.candidate = space_.candidate(idx);
-                    e.reused = true;
-                    evals[std::size_t(i)] = std::move(e);
-                    return;
-                }
+            std::int64_t(fresh.size()), 1, [&](std::int64_t i) {
+                const auto [idx, slot] = fresh[std::size_t(i)];
                 trace::Span span(trace::spanName(
                     "dse.eval ",
                     space_.describe(space_.candidate(idx))));
                 metrics::ScopedTimer timer(evalHist);
-                evals[std::size_t(i)] = evaluate(idx);
+                *slot = evaluate(idx);
             });
+
+        // Fill every proposal slot, revisits included.
+        std::vector<Evaluation> evals;
+        evals.reserve(wave.size());
+        for (const std::uint64_t idx : wave) {
+            const auto it = replay.find(idx);
+            if (it == replay.end()) {
+                evals.push_back(memo.at(idx));
+                continue;
+            }
+            Evaluation e = it->second;
+            e.candidate = space_.candidate(idx);
+            e.reused = true;
+            evals.push_back(std::move(e));
+        }
 
         // Everything order-sensitive happens serially, in proposal
         // order: journal, counters, frontier, strategy feedback.
@@ -611,7 +621,7 @@ exportFrontierRuns(const Explorer &explorer,
                    const std::string &prefix)
 {
     for (const Evaluation &point : result.frontier) {
-        // Re-score: pure and cache-backed, and it restores the full
+        // Re-score: evaluate() is pure, and it restores the full
         // per-layer RunCost a journal-replayed point does not carry.
         const Evaluation e = explorer.evaluate(point.candidate.index);
         inca_assert(e.scored, "frontier member %llu failed to score",

@@ -3,14 +3,16 @@
  * The exploration driver: strategy stream -> parallel evaluation ->
  * constraint filter -> Pareto reduction -> journal.
  *
- * Explorer::run() consumes candidate waves from the strategy. Inside
- * a wave, evaluation fans out across the global ThreadPool into
- * pre-sized result slots -- evaluation is a pure function of
- * (space, options, candidate index), so slot contents never depend on
- * scheduling. Everything order-sensitive (journal append, frontier
- * insert, metrics, strategy feedback) runs serially in proposal
- * order afterwards. The combination makes the full result, exports
- * included, bit-identical at any thread count.
+ * Explorer::run() consumes candidate waves from the strategy.
+ * Evaluation is a pure function of (space, options, candidate index),
+ * so each distinct index is evaluated at most once per run: a wave
+ * fans only its not-yet-seen indices out across the global
+ * ThreadPool, and every proposal -- revisits included -- is filled
+ * from a per-run index -> Evaluation memo. Everything order-sensitive
+ * (journal append, frontier insert, metrics, strategy feedback) runs
+ * serially in proposal order afterwards, once per proposal. The
+ * combination makes the full result, exports included, bit-identical
+ * at any thread count.
  *
  * Checkpoint/resume: every completed evaluation is appended to a
  * JSONL journal (when a path is given). A resumed run replays the
@@ -133,7 +135,7 @@ struct ExploreResult
     std::vector<Evaluation> frontier;
 
     std::uint64_t spaceSize = 0;
-    std::uint64_t scored = 0;   ///< engine runs performed
+    std::uint64_t scored = 0;   ///< scored proposals, revisits included
     std::uint64_t filtered = 0; ///< hard-constraint rejections
     std::uint64_t reused = 0;   ///< journal replays
 };
@@ -198,7 +200,7 @@ std::string frontierCsv(const SearchSpace &space,
 /**
  * Frontier JSON report: run parameters, counters, the frontier with
  * per-point axis values and scalars, and the same run-provenance
- * manifest sim::toJson embeds (threads, cache, build, INCA_* env).
+ * manifest sim::toJson embeds (threads, build, INCA_* env).
  */
 std::string frontierJson(const Explorer &explorer,
                          const ExploreResult &result);
@@ -206,8 +208,8 @@ std::string frontierJson(const Explorer &explorer,
 /**
  * Re-score every frontier member and write per-run sim::toCsv /
  * sim::toJson files named <prefix>-<index>.{csv,json}. Re-scoring is
- * pure (and cache-backed), so this works identically for resumed
- * runs whose journal carried only scalars.
+ * pure, so this works identically for resumed runs whose journal
+ * carried only scalars.
  */
 void exportFrontierRuns(const Explorer &explorer,
                         const ExploreResult &result,

@@ -4,7 +4,7 @@
  * extraction, per-unit occupancy, per-instruction slack, and what-if
  * sensitivity. Everything here is a pure function of the lowered
  * program and its TimedRun, so every report is byte-identical across
- * thread counts, cache settings, and runs.
+ * thread counts and runs.
  *
  * Critical path. The schedule computes start(i) as the max dependency
  * finish, so for every instruction there is a dependency whose finish

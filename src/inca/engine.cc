@@ -14,15 +14,7 @@ using arch::RunCost;
 
 namespace {
 
-/** Whole-run evaluations (one network, phase, batch). */
-EvalCache<RunCost> &
-incaRunCache()
-{
-    static EvalCache<RunCost> *c = new EvalCache<RunCost>("inca.run");
-    return *c;
-}
-
-/** Wall clock of one cached whole-run evaluation. */
+/** Wall clock of one whole-run evaluation. */
 metrics::Histogram &
 runEvalHistogram()
 {
@@ -36,7 +28,6 @@ runEvalHistogram()
 IncaEngine::IncaEngine(arch::IncaConfig cfg)
     : cfg_(std::move(cfg)), idlePower_(arch::incaIdlePower(cfg_))
 {
-    arch::appendKey(cfgKey_, cfg_);
 }
 
 Seconds
@@ -51,14 +42,8 @@ IncaEngine::inference(const nn::NetworkDesc &net, int batchSize) const
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("inca.inference ", net.name));
     metrics::ScopedTimer timer(runEvalHistogram());
-    CacheKey key = cfgKey_;
-    key.add("run-inference");
-    nn::appendKey(key, net);
-    key.add(batchSize);
-    return incaRunCache().getOrCompute(key, [&] {
-        return ir::analyticWalk(
-            ir::lowerInca(cfg_, net, Phase::Inference, batchSize));
-    });
+    return ir::analyticWalk(
+        ir::lowerInca(cfg_, net, Phase::Inference, batchSize));
 }
 
 RunCost
@@ -67,14 +52,8 @@ IncaEngine::training(const nn::NetworkDesc &net, int batchSize) const
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("inca.training ", net.name));
     metrics::ScopedTimer timer(runEvalHistogram());
-    CacheKey key = cfgKey_;
-    key.add("run-training");
-    nn::appendKey(key, net);
-    key.add(batchSize);
-    return incaRunCache().getOrCompute(key, [&] {
-        return ir::analyticWalk(
-            ir::lowerInca(cfg_, net, Phase::Training, batchSize));
-    });
+    return ir::analyticWalk(
+        ir::lowerInca(cfg_, net, Phase::Training, batchSize));
 }
 
 } // namespace core

@@ -28,7 +28,6 @@
 
 #include "arch/config.hh"
 #include "arch/cost.hh"
-#include "common/cache.hh"
 #include "nn/network.hh"
 
 namespace inca {
@@ -61,7 +60,6 @@ class IncaEngine
   private:
     arch::IncaConfig cfg_;
     Watts idlePower_;
-    CacheKey cfgKey_; ///< canonical key prefix for cfg_
 };
 
 } // namespace core

@@ -8,12 +8,6 @@
  * instruction stream (ir::analyticWalk), and the event backend
  * (src/event) executes the very same stream through its event queue.
  *
- * Per-layer instruction groups are memoized in the process-wide
- * EvalCaches under the same names the engines used ("inca.layer",
- * "ws.layer"), keyed exactly as before (config + layer shape + batch
- * + phase tag), so cache behavior -- including the hit/miss stream
- * the observability tests pin -- is unchanged by the refactor.
- *
  * Overlap: with opts.overlap set, IS inference is lowered with
  * double-buffered load/compute dependencies (a load may prefetch as
  * soon as the previous load retires, bounded two layers ahead; a

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared internals of the IS and WS lowering passes: the cacheable
- * per-layer instruction group and the assembly helpers that splice
+ * Shared internals of the IS and WS lowering passes: the
+ * position-independent per-layer instruction group and the assembly helpers that splice
  * groups into a Program.
  */
 
@@ -21,10 +21,8 @@ namespace ir {
 /**
  * A position-independent per-layer instruction group: dependencies are
  * group-local indices, labels and operands are unset (they carry the
- * layer name, which the cache keys deliberately exclude). This is the
- * value type memoized in the "inca.layer" / "ws.layer" EvalCaches;
- * appendSpan() rebases a copy into a concrete Program and the caller
- * then assigns labels, operands, and inter-span wiring.
+ * layer name). appendSpan() rebases a copy into a concrete Program and
+ * the caller then assigns labels, operands, and inter-span wiring.
  */
 struct LayerGroup
 {

@@ -62,17 +62,7 @@ incaWeightsStreamed(const arch::IncaConfig &cfg,
 
 namespace {
 
-/** Per-layer group evaluations, shared process-wide (was the
- *  engines' LayerCost cache; same name, same keys). */
-EvalCache<LayerGroup> &
-isLayerCache()
-{
-    static EvalCache<LayerGroup> *c =
-        new EvalCache<LayerGroup>("inca.layer");
-    return *c;
-}
-
-/** Wall clock of one cached layer-group lookup (hit or miss). */
+/** Wall clock of one layer-group evaluation. */
 metrics::Histogram &
 layerEvalHistogram()
 {
@@ -111,9 +101,11 @@ enum
 };
 
 LayerGroup
-computeForwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
-                    int batchSize, bool firstConv, bool streamed)
+forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
+             int batchSize, bool firstConv, bool streamed)
 {
+    trace::Span span(trace::spanName("inca.fwd ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g;
     g.instrs.resize(kConvCount);
     Instr &load = g.instrs[kLoad];
@@ -249,23 +241,19 @@ computeForwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     return g;
 }
 
-LayerGroup forwardGroup(const arch::IncaConfig &cfg,
-                        const CacheKey &cfgKey, const LayerDesc &layer,
-                        int batchSize, bool firstConv, bool streamed);
-
 LayerGroup
-computeBackwardGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
-                     const LayerDesc &layer, int batchSize,
-                     bool streamed)
+backwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
+              int batchSize, bool streamed)
 {
+    trace::Span span(trace::spanName("inca.bwd ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     // Error backpropagation: delta_{l+1} convolved with the transposed
     // kernels. The array work mirrors the forward pass with input and
     // output roles swapped; the transposed weights are a second fetch
     // from the same buffer bytes (Table IV's "different element
     // disposition" observation), and the produced errors overwrite the
     // dead activations of this layer in place.
-    LayerGroup g =
-        forwardGroup(cfg, cfgKey, layer, batchSize, false, streamed);
+    LayerGroup g = forwardGroup(cfg, layer, batchSize, false, streamed);
 
     // Replace the forward output-write term: backward writes errors of
     // the *input* size (they overwrite this layer's activations).
@@ -284,9 +272,11 @@ computeBackwardGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
 }
 
 LayerGroup
-computeUpdateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
-                   int batchSize, bool streamed)
+updateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
+            int batchSize, bool streamed)
 {
+    trace::Span span(trace::spanName("inca.upd ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     // Weight update: x_l convolved with delta_l. The number of
     // products equals the layer MACs per image; gradient partial sums
     // stream out through the shift-accumulators into the buffers and
@@ -368,9 +358,11 @@ computeUpdateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
 }
 
 LayerGroup
-computeAuxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
-                int batchSize, bool backward)
+auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
+         int batchSize, bool backward)
 {
+    trace::Span span(trace::spanName("inca.aux ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g;
     g.instrs.resize(2);
     Instr &act = g.instrs[0];
@@ -421,74 +413,6 @@ computeAuxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     }
     // Post-processing is streaming and hides behind array work.
     return g;
-}
-
-// ---- Cached wrappers: same trace spans, timers, cache keys, and
-// nesting (backward's miss path calls the cached forward wrapper) as
-// the engine's per-layer entry points, so the hit/miss stream the
-// cache tests pin is unchanged.
-
-LayerGroup
-forwardGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
-             const LayerDesc &layer, int batchSize, bool firstConv,
-             bool streamed)
-{
-    trace::Span span(trace::spanName("inca.fwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("F");
-    nn::appendKey(key, layer);
-    key.add(batchSize).add(firstConv).add(streamed);
-    return isLayerCache().getOrCompute(key, [&] {
-        return computeForwardGroup(cfg, layer, batchSize, firstConv,
-                                   streamed);
-    });
-}
-
-LayerGroup
-backwardGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
-              const LayerDesc &layer, int batchSize, bool streamed)
-{
-    trace::Span span(trace::spanName("inca.bwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("B");
-    nn::appendKey(key, layer);
-    key.add(batchSize).add(streamed);
-    return isLayerCache().getOrCompute(key, [&] {
-        return computeBackwardGroup(cfg, cfgKey, layer, batchSize,
-                                    streamed);
-    });
-}
-
-LayerGroup
-updateGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
-            const LayerDesc &layer, int batchSize, bool streamed)
-{
-    trace::Span span(trace::spanName("inca.upd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("U");
-    nn::appendKey(key, layer);
-    key.add(batchSize).add(streamed);
-    return isLayerCache().getOrCompute(key, [&] {
-        return computeUpdateGroup(cfg, layer, batchSize, streamed);
-    });
-}
-
-LayerGroup
-auxGroup(const arch::IncaConfig &cfg, const CacheKey &cfgKey,
-         const LayerDesc &layer, int batchSize, bool backward)
-{
-    trace::Span span(trace::spanName("inca.aux ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("A");
-    nn::appendKey(key, layer);
-    key.add(batchSize).add(backward);
-    return isLayerCache().getOrCompute(key, [&] {
-        return computeAuxGroup(cfg, layer, batchSize, backward);
-    });
 }
 
 /** Assembly state threaded through the IS program builder. */
@@ -675,14 +599,11 @@ lowerInca(const arch::IncaConfig &cfg, const nn::NetworkDesc &net,
         const LayerDesc &layer = net.layers[i];
         layerInput[i] = b.prevAct;
         if (layer.isConvLike()) {
-            b.convForward(layer, forwardGroup(cfg, cfgKey, layer,
-                                              batchSize, first,
-                                              streamed));
+            b.convForward(layer, forwardGroup(cfg, layer, batchSize,
+                                              first, streamed));
             first = false;
         } else {
-            b.aux(layer,
-                  auxGroup(cfg, cfgKey, layer, batchSize, false),
-                  false);
+            b.aux(layer, auxGroup(cfg, layer, batchSize, false), false);
         }
     }
 
@@ -691,15 +612,13 @@ lowerInca(const arch::IncaConfig &cfg, const nn::NetworkDesc &net,
         for (std::size_t r = net.layers.size(); r-- > 0;) {
             const LayerDesc &layer = net.layers[r];
             if (layer.isConvLike()) {
-                b.convBackward(layer, backwardGroup(cfg, cfgKey, layer,
-                                                    batchSize,
+                b.convBackward(layer, backwardGroup(cfg, layer, batchSize,
                                                     streamed));
                 b.convUpdate(layer, layerInput[r],
-                             updateGroup(cfg, cfgKey, layer, batchSize,
+                             updateGroup(cfg, layer, batchSize,
                                          streamed));
             } else {
-                b.aux(layer,
-                      auxGroup(cfg, cfgKey, layer, batchSize, true),
+                b.aux(layer, auxGroup(cfg, layer, batchSize, true),
                       true);
             }
         }

@@ -72,17 +72,7 @@ wsBufferShare(const arch::BaselineConfig &cfg,
 
 namespace {
 
-/** Per-layer group evaluations, shared process-wide (was the
- *  engines' LayerCost cache; same name, same keys). */
-EvalCache<LayerGroup> &
-wsLayerCache()
-{
-    static EvalCache<LayerGroup> *c =
-        new EvalCache<LayerGroup>("ws.layer");
-    return *c;
-}
-
-/** Wall clock of one cached layer-group lookup (hit or miss). */
+/** Wall clock of one layer-group evaluation. */
 metrics::Histogram &
 layerEvalHistogram()
 {
@@ -107,10 +97,11 @@ enum
 };
 
 LayerGroup
-computeForwardGroup(const arch::BaselineConfig &cfg,
-                    const nn::NetworkDesc &net, const LayerDesc &layer,
-                    int batchSize)
+forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
+             const LayerDesc &layer, int batchSize)
 {
+    trace::Span span(trace::spanName("ws.fwd ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g;
     g.instrs.resize(kStageCount);
     Instr &load = g.instrs[kLoad];
@@ -216,9 +207,11 @@ computeForwardGroup(const arch::BaselineConfig &cfg,
 }
 
 LayerGroup
-computeAuxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
-                int batchSize)
+auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
+         int batchSize)
 {
+    trace::Span span(trace::spanName("ws.aux ", layer.name));
+    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g;
     g.instrs.resize(2);
     Instr &act = g.instrs[0];
@@ -252,42 +245,6 @@ computeAuxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
     return g;
 }
 
-// ---- Cached wrappers (same trace spans, timers, keys as the engine).
-
-LayerGroup
-forwardGroup(const arch::BaselineConfig &cfg, const CacheKey &cfgKey,
-             const nn::NetworkDesc &net, const LayerDesc &layer,
-             int batchSize)
-{
-    trace::Span span(trace::spanName("ws.fwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("F");
-    nn::appendKey(key, layer);
-    // The only way the network influences a layer's cost is through
-    // its buffer share; keying on that value keeps the cache shared
-    // across networks that grant the same share.
-    key.add(batchSize).add(wsBufferShare(cfg, net, layer));
-    return wsLayerCache().getOrCompute(key, [&] {
-        return computeForwardGroup(cfg, net, layer, batchSize);
-    });
-}
-
-LayerGroup
-auxGroup(const arch::BaselineConfig &cfg, const CacheKey &cfgKey,
-         const LayerDesc &layer, int batchSize)
-{
-    trace::Span span(trace::spanName("ws.aux ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
-    CacheKey key = cfgKey;
-    key.add("A");
-    nn::appendKey(key, layer);
-    key.add(batchSize);
-    return wsLayerCache().getOrCompute(key, [&] {
-        return computeAuxGroup(cfg, layer, batchSize);
-    });
-}
-
 /** Copy @p g, inserting an extra Array Move (RRAM stores) before the
  *  sync; @p dep is the group-local index the store waits on. */
 LayerGroup
@@ -308,7 +265,7 @@ withArrayStore(LayerGroup g, double cellWrites, Joules energy,
     return g;
 }
 
-/** The weight-reload group (uncached; two instructions + sync). */
+/** The weight-reload group (two instructions + sync). */
 LayerGroup
 reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
             bool training)
@@ -412,16 +369,14 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
             int base;
             if (layer.isConvLike()) {
                 base = appendSpan(
-                    p, forwardGroup(cfg, cfgKey, net, layer, batchSize),
+                    p, forwardGroup(cfg, net, layer, batchSize),
                     layer.name, layer.kind, false, false);
                 nameStage(p, base, layer.name, prevAct,
                           "w." + layer.name, "act." + layer.name,
                           kStageCount);
                 prevAct = "act." + layer.name;
             } else {
-                base = appendSpan(p,
-                                  auxGroup(cfg, cfgKey, layer,
-                                           batchSize),
+                base = appendSpan(p, auxGroup(cfg, layer, batchSize),
                                   layer.name, layer.kind, false, false);
                 Instr &act = p.instrs[std::size_t(base)];
                 act.label = "post " + layer.name;
@@ -499,7 +454,7 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         for (const auto &layer : net.layers) {
             if (layer.isConvLike()) {
                 const LayerGroup fwd =
-                    forwardGroup(cfg, cfgKey, net, layer, batchSize);
+                    forwardGroup(cfg, net, layer, batchSize);
 
                 int base = appendSpan(p, fwd, layer.name, layer.kind,
                                       false, true);
@@ -577,8 +532,7 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
                 chainAfter(p, base, prevEnd);
                 prevEnd = base;
             } else {
-                const LayerGroup aux =
-                    auxGroup(cfg, cfgKey, layer, batchSize);
+                const LayerGroup aux = auxGroup(cfg, layer, batchSize);
                 for (int pass = 0; pass < 2; ++pass) {
                     const bool bwd = pass == 1;
                     const std::string name =

@@ -86,9 +86,8 @@ struct LayerDesc
 
 /**
  * Append the *shape* of @p l to @p key (cache canonicalization).
- * Deliberately excludes LayerDesc::name so identically shaped layers
- * share cached evaluations; callers patch presentation fields after a
- * cache fetch.
+ * Excludes LayerDesc::name; the network key, which adds each layer's
+ * name before its shape, is what separates layers by name.
  */
 void appendKey(CacheKey &key, const LayerDesc &l);
 

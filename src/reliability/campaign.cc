@@ -1,12 +1,12 @@
 #include "reliability/campaign.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "arch/endurance.hh"
 #include "baseline/engine.hh"
 #include "common/cache.hh"
+#include "common/export_util.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
@@ -28,30 +28,6 @@ num17(double v)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string
-envJson(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return "null";
-    std::string out = "\"";
-    out += jsonEscape(v);
-    out += '"';
-    return out;
-}
-
 /** One (engine, sweep, x) evaluation request. */
 struct PointJob
 {
@@ -59,13 +35,6 @@ struct PointJob
     std::string sweep; ///< "ber" or "lifetime"
     double x = 0.0;
 };
-
-EvalCache<CampaignPoint> &
-pointCache()
-{
-    static EvalCache<CampaignPoint> cache("reliability-campaign");
-    return cache;
-}
 
 /** Mix a trial index into a stream base (splitmix64 finalizer). */
 std::uint64_t
@@ -184,7 +153,7 @@ evaluatePoint(const CampaignOptions &opt, const PointJob &job,
     point.exhaustedFraction = double(exhausted) / double(trials);
 
     // Mitigation cost: charge write-verify pulses into the engine's
-    // RunCost (the engine runs themselves are memoized upstream).
+    // RunCost.
     arch::RunCost run;
     if (job.isInca) {
         const core::IncaEngine engine(opt.inca);
@@ -204,27 +173,6 @@ evaluatePoint(const CampaignOptions &opt, const PointJob &job,
     point.energyJ = run.energy();
     point.latencyS = run.latency;
     return point;
-}
-
-CacheKey
-pointKey(const CampaignOptions &opt, const PointJob &job)
-{
-    CacheKey key;
-    key.add("reliability-campaign-point");
-    key.add(job.isInca ? "inca" : "ws");
-    if (job.isInca)
-        arch::appendKey(key, opt.inca);
-    else
-        arch::appendKey(key, opt.ws);
-    key.add(opt.network);
-    key.add(int(opt.phase));
-    appendKey(key, opt.fault);
-    appendKey(key, opt.mitigation);
-    key.add(opt.trials);
-    key.add(opt.noiseSigma);
-    key.add(job.sweep);
-    key.add(job.x);
-    return key;
 }
 
 void
@@ -296,10 +244,7 @@ runCampaign(const CampaignOptions &opt)
                 "reliability.point ",
                 std::string(job.isInca ? "inca " : "ws ") + job.sweep +
                     " " + num17(job.x)));
-            slots[std::size_t(i)] = pointCache().getOrCompute(
-                pointKey(opt, job), [&] {
-                    return evaluatePoint(opt, job, net, maxWindow);
-                });
+            slots[std::size_t(i)] = evaluatePoint(opt, job, net, maxWindow);
             pointCtr.inc();
             trialCtr.inc(std::uint64_t(std::max(opt.trials, 1)));
         });
@@ -384,22 +329,8 @@ campaignJson(const CampaignResult &result)
        << ", \"spare_cols\": " << opt.mitigation.spareCols << "},\n";
     os << "  \"trials_run\": " << result.trialsRun << ",\n";
     // The same run-provenance manifest the DSE frontier embeds.
-    os << "  \"provenance\": {\n";
-    os << "    \"threads\": " << ThreadPool::globalThreadCount()
-       << ",\n";
-    os << "    \"cache\": " << (cacheEnabled() ? "true" : "false")
-       << ",\n";
-    os << "    \"env\": {";
-    bool firstEnv = true;
-    for (const char *name : {"INCA_TRACE", "INCA_METRICS",
-                             "INCA_NUM_THREADS", "INCA_CACHE"}) {
-        if (!firstEnv)
-            os << ", ";
-        firstEnv = false;
-        os << "\"" << name << "\": " << envJson(name);
-    }
-    os << "}\n";
-    os << "  },\n";
+    os << "  \"provenance\": {\n"
+       << provenanceJson("", "    ") << "  },\n";
     os << "  \"curves\": [\n";
     for (std::size_t c = 0; c < result.curves.size(); ++c) {
         const CampaignCurve &curve = result.curves[c];

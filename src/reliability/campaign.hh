@@ -25,8 +25,7 @@
  * slots; each trial draws from an independent splitmix64 substream
  * keyed by (seed, engine, point, trial), and all aggregation is a
  * serial reduction in fixed order. Output is bit-identical at any
- * thread count and across cached/uncached runs (points memoize in an
- * EvalCache keyed by the full campaign parameterization).
+ * thread count.
  */
 
 #ifndef INCA_RELIABILITY_CAMPAIGN_HH
@@ -130,7 +129,7 @@ std::string campaignCsv(const CampaignResult &result);
 /**
  * Campaign JSON report with the fault/mitigation parameterization and
  * the same run-provenance manifest the DSE frontier embeds (threads,
- * cache, INCA_* env). Strictly lintable.
+ * build, INCA_* env). Strictly lintable.
  */
 std::string campaignJson(const CampaignResult &result);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "baseline/crossbar.hh"
-#include "common/cache.hh"
 #include "common/logging.hh"
 #include "inca/plane.hh"
 #include "tensor/kernels/kernels.hh"
@@ -121,20 +120,6 @@ applyFaults(const FaultMap &map, baseline::WsCrossbar &xbar)
         for (int c = 0; c < map.cols; ++c)
             if (map.at(r, c) >= 0)
                 xbar.injectStuckAt(r, c, map.at(r, c) != 0);
-}
-
-void
-appendKey(CacheKey &key, const FaultSpec &spec)
-{
-    key.add("fault-spec");
-    key.add(spec.hardBer0);
-    key.add(spec.hardBerWear);
-    key.add(spec.softBer0);
-    key.add(spec.softBerWear);
-    key.add(spec.wearShape);
-    key.add(spec.driftSigmaWear);
-    key.add(spec.endurance);
-    key.add(spec.seed);
 }
 
 } // namespace reliability

@@ -41,8 +41,6 @@
 
 namespace inca {
 
-class CacheKey;
-
 namespace core {
 class BitPlane;
 }
@@ -222,12 +220,6 @@ void applyFaults(const FaultMap &map, core::BitPlane &plane);
 
 /** Inject a map's stuck cells into a WS crossbar. */
 void applyFaults(const FaultMap &map, baseline::WsCrossbar &xbar);
-
-/**
- * Append every field of @p spec to @p key (cache canonicalization);
- * a faulty run can never alias a cached ideal run.
- */
-void appendKey(CacheKey &key, const FaultSpec &spec);
 
 } // namespace reliability
 } // namespace inca

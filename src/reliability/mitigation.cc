@@ -1,6 +1,5 @@
 #include "reliability/mitigation.hh"
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -204,15 +203,6 @@ applyWriteVerify(arch::RunCost &run, const MitigationSpec &spec,
         cost.extraLatency += latency;
     }
     return cost;
-}
-
-void
-appendKey(CacheKey &key, const MitigationSpec &spec)
-{
-    key.add("mitigation-spec");
-    key.add(spec.writeVerifyRetries);
-    key.add(spec.spareRows);
-    key.add(spec.spareCols);
 }
 
 } // namespace reliability

@@ -38,8 +38,6 @@
 
 namespace inca {
 
-class CacheKey;
-
 namespace reliability {
 
 /** Mitigation hardware configuration. */
@@ -229,9 +227,6 @@ WriteVerifyCost applyWriteVerify(arch::RunCost &run,
                                  double softBer, double hardBer,
                                  const circuit::RramDevice &device,
                                  double writeLanes);
-
-/** Append every field of @p spec to @p key (cache canonicalization). */
-void appendKey(CacheKey &key, const MitigationSpec &spec);
 
 } // namespace reliability
 } // namespace inca

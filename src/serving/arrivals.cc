@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 
@@ -131,20 +130,6 @@ arrivalKindByName(const std::string &name)
     fatal("unknown arrival process '%s' (expected poisson, bursty, "
           "or diurnal)",
           name.c_str());
-}
-
-void
-appendKey(CacheKey &key, const ArrivalSpec &spec)
-{
-    key.add("arrivals");
-    key.add(int(spec.kind));
-    key.add(spec.ratePerS);
-    key.add(spec.seed);
-    key.add(spec.burstFactor);
-    key.add(spec.meanOnS);
-    key.add(spec.meanOffS);
-    key.add(spec.diurnalPeriodS);
-    key.add(spec.diurnalDepth);
 }
 
 std::vector<Seconds>

@@ -23,7 +23,6 @@
 #include "common/units.hh"
 
 namespace inca {
-class CacheKey;
 namespace serving {
 
 /** Arrival process shape. */
@@ -64,9 +63,6 @@ struct ArrivalSpec
     Seconds diurnalPeriodS = 2.0;
     double diurnalDepth = 0.8;
 };
-
-/** Append every field of @p spec to @p key (cache canonicalization). */
-void appendKey(CacheKey &key, const ArrivalSpec &spec);
 
 /**
  * Generate every arrival timestamp in [0, duration), sorted

@@ -98,7 +98,7 @@ struct BatchCost
 /**
  * Memoized (model, batch, shard) -> BatchCost oracle; see the file
  * comment. Pure: two instances with equal configs produce
- * bit-identical costs on any thread, cache on or off.
+ * bit-identical costs on any thread, cold or warm cache.
  */
 class BatchCostModel
 {

@@ -7,7 +7,7 @@
  * Every emitter is a pure function of the report, and the report is a
  * pure function of the spec, so all of them inherit the simulator's
  * bit-identity contract: the text/JSON/CSV bytes match at any thread
- * count and cache setting. Numbers that feed machines are %.17g
+ * count, cold or warm. Numbers that feed machines are %.17g
  * (exact double round-trip); the text report uses fixed human
  * precision, which is equally deterministic.
  */

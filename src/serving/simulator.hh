@@ -7,8 +7,8 @@
  * traces materialized up front (serving/arrivals.hh) and batch
  * service times from the memoized cost model (serving/cost_model.hh).
  * Wall-clock time never enters, so a simulation is a pure function of
- * its spec: bit-identical at any thread count and with the EvalCache
- * on or off. The only parallel phase is the pre-computation of the
+ * its spec: bit-identical at any thread count and with the batch-cost
+ * cache cold or warm. The only parallel phase is the pre-computation of the
  * (stream, batch size) cost table, which fans out pure cost-model
  * calls into pre-sized slots before the serial event loop runs.
  *

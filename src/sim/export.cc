@@ -71,8 +71,8 @@ toJson(const arch::RunCost &run, const std::string &extras)
     os << "  \"total_energy_J\": " << num(run.energy()) << ",\n";
     // Run-provenance manifest: enough to reproduce the run -- the
     // design point (config key hash from arch::appendKey), the
-    // execution knobs (threads, cache), the build, and the INCA_*
-    // environment the process saw.
+    // thread count, the build, and the INCA_* environment the
+    // process saw.
     {
         std::ostringstream lead;
         lead << "\"config_key_hash\": \"0x" << std::hex

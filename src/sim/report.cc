@@ -105,32 +105,33 @@ printCacheStats(std::FILE *out)
         any = any || s.hits + s.misses > 0;
     if (!any)
         return;
-    std::fprintf(out, "\nevaluation caches (INCA_CACHE %s):\n",
-                 cacheEnabled() ? "on" : "off");
+    std::fprintf(out, "\nevaluation caches:\n");
     std::uint64_t hits = 0, misses = 0;
-    double saved = 0.0;
+    double missSeconds = 0.0;
     for (const auto &s : stats) {
         if (s.hits + s.misses == 0)
             continue;
         std::fprintf(out,
                      "  %-20s %9llu hits %9llu misses  %5.1f%% hit "
-                     "rate  %7llu entries  %6llu evicted\n",
+                     "rate  %7llu entries  %6llu evicted  %8.1f ms in "
+                     "misses\n",
                      s.name.c_str(), (unsigned long long)s.hits,
                      (unsigned long long)s.misses, 100.0 * s.hitRate(),
                      (unsigned long long)s.entries,
-                     (unsigned long long)s.evictions);
+                     (unsigned long long)s.evictions,
+                     1e3 * s.missSeconds);
         hits += s.hits;
         misses += s.misses;
-        saved += s.estimatedSavedSeconds();
+        missSeconds += s.missSeconds;
     }
     const double total = double(hits + misses);
     std::fprintf(out,
                  "  %-20s %9llu hits %9llu misses  %5.1f%% hit rate  "
-                 "~%.1f ms recompute time saved\n",
+                 "%.1f ms in misses\n",
                  "total", (unsigned long long)hits,
                  (unsigned long long)misses,
                  total == 0.0 ? 0.0 : 100.0 * double(hits) / total,
-                 1e3 * saved);
+                 1e3 * missSeconds);
 }
 
 void

@@ -80,10 +80,10 @@ void clearPhaseTimes();
 
 /**
  * Print the recorded phases, the pool size, the evaluation-cache
- * statistics (hit rates, entries, estimated time saved), and the
- * process metrics registry (metrics::printText) to @p out. Drivers
- * that must keep stdout byte-identical between cached and uncached
- * runs pass stderr.
+ * statistics (hit rates, entries, measured time spent in misses), and
+ * the process metrics registry (metrics::printText) to @p out. Drivers
+ * that must keep stdout byte-identical across thread counts pass
+ * stderr.
  */
 void printPhaseTimes(std::FILE *out);
 

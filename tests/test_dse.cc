@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "dse/explorer.hh"
@@ -670,6 +671,110 @@ TEST(Explorer, AnnealFindsGridOptimumOnTinySpace)
     ASSERT_EQ(annealBest.size(), 1u);
     EXPECT_EQ(annealBest[0].candidate.index,
               gridBest[0].candidate.index);
+}
+
+/** Everything a proposal reports, scalars and per-layer run alike. */
+std::string
+evalTranscript(const Evaluation &e)
+{
+    std::string out = evalToJsonLine(e);
+    char buf[64];
+    for (const auto &layer : e.run.layers) {
+        std::snprintf(buf, sizeof buf, " %.17g", layer.latency);
+        out += " " + layer.name + buf;
+        for (const auto &[stat, value] : layer.stats.entries()) {
+            std::snprintf(buf, sizeof buf, "=%.17g", value);
+            out += " " + stat + buf;
+        }
+    }
+    return out;
+}
+
+TEST(Explorer, RevisitedCandidatesAreEvaluatedOnce)
+{
+    // A 6-point space (two of its ADC widths clip lenet5's 5x5
+    // window, so the hard lossless_adc bound filters them) annealed
+    // with a budget ten times its size: most proposals are revisits.
+    SearchSpace space;
+    space.axis("plane", {8, 16});
+    space.axis("adc_bits", {3, 4, 6});
+    ExploreOptions opt = explorerOptions();
+    opt.strategy = StrategyKind::Anneal;
+    opt.budget = 60;
+    opt.evalBatch = 8;
+    opt.constraints.set("lossless_adc=1");
+
+    metrics::Histogram &evalHist = metrics::histogram("dse.eval_us");
+    evalHist.reset();
+    Explorer explorer(space, opt);
+    const ExploreResult result = explorer.run();
+    ASSERT_EQ(result.evaluations.size(), 60u);
+
+    // One engine evaluation per distinct index, not per proposal.
+    std::set<std::uint64_t> distinct;
+    for (const Evaluation &e : result.evaluations)
+        distinct.insert(e.candidate.index);
+    ASSERT_LT(distinct.size(), result.evaluations.size());
+    EXPECT_EQ(evalHist.count(), distinct.size());
+
+    // Every proposal, revisits included, reports exactly what a
+    // fresh evaluation of its index does, in proposal order, and is
+    // counted once as scored or filtered.
+    std::uint64_t scored = 0, filtered = 0;
+    for (const Evaluation &e : result.evaluations) {
+        SCOPED_TRACE(e.candidate.index);
+        EXPECT_EQ(evalTranscript(e),
+                  evalTranscript(explorer.evaluate(e.candidate.index)));
+        ++(e.scored ? scored : filtered);
+    }
+    EXPECT_EQ(result.scored, scored);
+    EXPECT_EQ(result.filtered, filtered);
+    EXPECT_GT(filtered, 0u);
+    EXPECT_EQ(result.reused, 0u);
+
+    // Resume from a journal cut after 10 proposals: every proposal of
+    // a journaled index is a replay (revisits too), the rest are
+    // scored or filtered exactly as in the uninterrupted run.
+    const std::string dir = ::testing::TempDir();
+    const std::string full = dir + "/dse_memo_full.jsonl";
+    const std::string cut = dir + "/dse_memo_cut.jsonl";
+    ExploreOptions journaled = opt;
+    journaled.journalPath = full;
+    Explorer uninterrupted(space, journaled);
+    const ExploreResult want = uninterrupted.run();
+    {
+        std::ifstream in(full);
+        std::ofstream out(cut);
+        std::string line;
+        for (int i = 0; i < 11 && std::getline(in, line); ++i)
+            out << line << "\n";
+    }
+    std::set<std::uint64_t> kept;
+    for (std::size_t i = 0; i < 10; ++i)
+        kept.insert(want.evaluations[i].candidate.index);
+    std::uint64_t wantReused = 0, wantScored = 0, wantFiltered = 0;
+    for (const Evaluation &e : want.evaluations) {
+        if (kept.count(e.candidate.index))
+            ++wantReused;
+        else if (e.scored)
+            ++wantScored;
+        if (!e.scored)
+            ++wantFiltered;
+    }
+
+    ExploreOptions resumeOpt = journaled;
+    resumeOpt.journalPath = cut;
+    resumeOpt.resume = true;
+    Explorer resumed(space, resumeOpt);
+    const ExploreResult got = resumed.run();
+    EXPECT_EQ(got.reused, wantReused);
+    EXPECT_EQ(got.scored, wantScored);
+    EXPECT_EQ(got.filtered, wantFiltered);
+    EXPECT_EQ(frontierCsv(space, got.frontier, opt.objectives),
+              frontierCsv(space, want.frontier, opt.objectives));
+
+    std::remove(full.c_str());
+    std::remove(cut.c_str());
 }
 
 TEST(Explorer, FrontierJsonIsValid)

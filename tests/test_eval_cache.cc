@@ -1,17 +1,15 @@
 /**
  * @file
- * The evaluation cache's correctness contract, tested differentially:
- * cached and uncached sweeps must produce byte-identical results at
- * every thread count, because a hit returns a copy of a value computed
- * by the exact same arithmetic. Plus the mechanics that contract rests
- * on: canonical keys, counters, FIFO eviction, and the INCA_CACHE
- * switch parsing.
+ * The evaluation cache and its canonical keys: engine sweeps are
+ * byte-identical at every thread count, a repeated serving cost is
+ * answered from the one remaining cache ("serving.batch") without
+ * changing a bit, and the mechanics that contract rests on --
+ * canonical keys, counters, FIFO eviction -- hold.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,7 +19,9 @@
 #include "common/thread_pool.hh"
 #include "inca/engine.hh"
 #include "nn/layer.hh"
+#include "nn/model_zoo.hh"
 #include "nn/network.hh"
+#include "serving/cost_model.hh"
 #include "test_fixtures.hh"
 
 namespace inca {
@@ -82,7 +82,7 @@ sweepTranscript()
     return out;
 }
 
-/** Restore cache/thread globals however a test exits. */
+/** Start and end every test with empty caches and one thread. */
 class EvalCacheTest : public ::testing::Test
 {
   protected:
@@ -90,39 +90,27 @@ class EvalCacheTest : public ::testing::Test
     SetUp() override
     {
         clearAllCaches();
-        setCacheEnabled(true);
     }
 
     void
     TearDown() override
     {
-        // gtest_discover_tests runs each TEST in its own process, so
-        // the globals this suite pokes cannot leak across tests; put
-        // them back to the env defaults anyway for manual runs.
-        setCacheEnabled(cacheEnabledFromEnv(
-            std::getenv("INCA_CACHE")));
+        ThreadPool::setGlobalThreads(1);
         clearAllCaches();
     }
 };
 
 TEST_F(EvalCacheTest, CachedSweepIsByteIdenticalAtEveryThreadCount)
 {
-    setCacheEnabled(false);
+    ThreadPool::setGlobalThreads(1);
     const std::string reference = sweepTranscript();
     ASSERT_FALSE(reference.empty());
 
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-
-        setCacheEnabled(true);
-        clearAllCaches();
-        // Twice: the second pass is served almost entirely from the
-        // cache and must still transcribe identically.
+        // Twice: a repeated sweep must transcribe identically.
         EXPECT_EQ(sweepTranscript(), reference);
-        EXPECT_EQ(sweepTranscript(), reference);
-
-        setCacheEnabled(false);
         EXPECT_EQ(sweepTranscript(), reference);
     }
 }
@@ -132,10 +120,10 @@ TEST_F(EvalCacheTest, RepeatedRunsHitTheCache)
     // Serial, so concurrent misses on one key cannot skew the
     // miss-vs-entry accounting this test pins down.
     ThreadPool::setGlobalThreads(1);
-    core::IncaEngine engine(arch::paperInca());
-    const auto net = testing::cacheSweepModels().front();
+    const serving::BatchCostModel model(arch::paperInca(), {});
+    const auto net = nn::lenet5();
 
-    (void)engine.training(net, 16);
+    const serving::BatchCost cold = model.cost(net, 4);
     std::uint64_t missesAfterFirst = 0, hitsAfterFirst = 0;
     for (const auto &s : cacheStats()) {
         missesAfterFirst += s.misses;
@@ -143,35 +131,21 @@ TEST_F(EvalCacheTest, RepeatedRunsHitTheCache)
     }
     EXPECT_GT(missesAfterFirst, 0u);
 
-    (void)engine.training(net, 16);
+    const serving::BatchCost warm = model.cost(net, 4);
     std::uint64_t misses = 0, hits = 0, entries = 0;
     for (const auto &s : cacheStats()) {
         misses += s.misses;
         hits += s.hits;
         entries += s.entries;
     }
-    // The repeat is answered from the run-level cache: new hits, no
-    // new misses, and the entry count stands still.
+    // The repeat is answered from the batch-cost cache: new hits, no
+    // new misses, the entry count stands still, and not a bit moves.
     EXPECT_EQ(misses, missesAfterFirst);
     EXPECT_GT(hits, hitsAfterFirst);
     EXPECT_GT(entries, 0u);
     EXPECT_EQ(entries, missesAfterFirst);
-}
-
-TEST_F(EvalCacheTest, DisabledCacheComputesEveryTime)
-{
-    setCacheEnabled(false);
-    EvalCache<int> cache("test.disabled");
-    CacheKey key;
-    key.add("k");
-    int calls = 0;
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(cache.getOrCompute(key, [&] { return ++calls; }), i + 1);
-    EXPECT_EQ(calls, 3);
-    const auto s = cache.stats();
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(s.misses, 0u);
-    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(warm.latencyS, cold.latencyS);
+    EXPECT_EQ(warm.energyJ, cold.energyJ);
 }
 
 TEST_F(EvalCacheTest, FifoEvictionBoundsEntries)
@@ -298,24 +272,6 @@ TEST(CacheKeyTest, ConfigKeySeparatesDesignPoints)
     for (size_t i = 0; i < keys.size(); ++i)
         for (size_t j = i + 1; j < keys.size(); ++j)
             EXPECT_NE(keys[i], keys[j]) << i << j;
-}
-
-TEST(CacheEnvTest, ParsesTheDocumentedSpellings)
-{
-    EXPECT_TRUE(cacheEnabledFromEnv(nullptr));
-    EXPECT_TRUE(cacheEnabledFromEnv(""));
-    EXPECT_TRUE(cacheEnabledFromEnv("1"));
-    EXPECT_TRUE(cacheEnabledFromEnv("on"));
-    EXPECT_TRUE(cacheEnabledFromEnv("true"));
-    EXPECT_TRUE(cacheEnabledFromEnv("yes"));
-    EXPECT_FALSE(cacheEnabledFromEnv("0"));
-    EXPECT_FALSE(cacheEnabledFromEnv("off"));
-    EXPECT_FALSE(cacheEnabledFromEnv("OFF"));
-    EXPECT_FALSE(cacheEnabledFromEnv("false"));
-    EXPECT_FALSE(cacheEnabledFromEnv("False"));
-    EXPECT_FALSE(cacheEnabledFromEnv("no"));
-    // Unrecognized values keep the safe default (on).
-    EXPECT_TRUE(cacheEnabledFromEnv("maybe"));
 }
 
 } // namespace

@@ -22,13 +22,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "arch/config.hh"
-#include "common/cache.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
@@ -157,26 +155,7 @@ headerIsSnake(const std::string &csv)
     return true;
 }
 
-/** Restore cache/thread globals however a test exits. */
-class EventAnalysisTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        clearAllCaches();
-    }
-
-    void
-    TearDown() override
-    {
-        setCacheEnabled(
-            cacheEnabledFromEnv(std::getenv("INCA_CACHE")));
-        clearAllCaches();
-    }
-};
-
-TEST_F(EventAnalysisTest, PathRefoldsToMakespanBitExactly)
+TEST(EventAnalysisTest, PathRefoldsToMakespanBitExactly)
 {
     for (const Case &c : zooCases()) {
         SCOPED_TRACE(c.describe());
@@ -199,7 +178,7 @@ TEST_F(EventAnalysisTest, PathRefoldsToMakespanBitExactly)
     }
 }
 
-TEST_F(EventAnalysisTest, SharesSumToMakespanWithZeroUlpError)
+TEST(EventAnalysisTest, SharesSumToMakespanWithZeroUlpError)
 {
     for (const Case &c : zooCases()) {
         SCOPED_TRACE(c.describe());
@@ -223,7 +202,7 @@ TEST_F(EventAnalysisTest, SharesSumToMakespanWithZeroUlpError)
     }
 }
 
-TEST_F(EventAnalysisTest, SlackZeroOnPathNonNegativeElsewhere)
+TEST(EventAnalysisTest, SlackZeroOnPathNonNegativeElsewhere)
 {
     for (const Case &c : zooCases()) {
         SCOPED_TRACE(c.describe());
@@ -240,7 +219,7 @@ TEST_F(EventAnalysisTest, SlackZeroOnPathNonNegativeElsewhere)
     }
 }
 
-TEST_F(EventAnalysisTest, OccupancyNeverInflatesUtilization)
+TEST(EventAnalysisTest, OccupancyNeverInflatesUtilization)
 {
     for (const Case &c : zooCases()) {
         SCOPED_TRACE(c.describe());
@@ -264,7 +243,7 @@ TEST_F(EventAnalysisTest, OccupancyNeverInflatesUtilization)
     }
 }
 
-TEST_F(EventAnalysisTest, OverhangReportedExplicitly)
+TEST(EventAnalysisTest, OverhangReportedExplicitly)
 {
     // Regression for the documented quirk: posted work past the
     // makespan must surface as overhang, not as utilization > 1.
@@ -318,7 +297,7 @@ TEST_F(EventAnalysisTest, OverhangReportedExplicitly)
     EXPECT_EQ(r.bottleneck, ir::Unit::Array);
 }
 
-TEST_F(EventAnalysisTest, WhatIfUnityIsBitIdenticalNoOp)
+TEST(EventAnalysisTest, WhatIfUnityIsBitIdenticalNoOp)
 {
     const Case c{nn::vgg16(), true, arch::Phase::Inference, false};
     const ir::Program p = lowerCase(c, 64);
@@ -357,7 +336,7 @@ TEST_F(EventAnalysisTest, WhatIfUnityIsBitIdenticalNoOp)
               event::reportCsv(scaled1, rs));
 }
 
-TEST_F(EventAnalysisTest, WhatIfScalingDownNeverSlower)
+TEST(EventAnalysisTest, WhatIfScalingDownNeverSlower)
 {
     for (const Case &c :
          {Case{nn::vgg16(), true, arch::Phase::Inference, true},
@@ -377,7 +356,7 @@ TEST_F(EventAnalysisTest, WhatIfScalingDownNeverSlower)
     }
 }
 
-TEST_F(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
+TEST(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
 {
     const std::vector<Case> cases = {
         {nn::vgg16(), true, arch::Phase::Inference, false},
@@ -386,7 +365,6 @@ TEST_F(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
         {nn::resnet18(), false, arch::Phase::Training, true},
     };
     std::vector<std::string> reference;
-    setCacheEnabled(false);
     for (const Case &c : cases) {
         const ir::Program p = lowerCase(c);
         const event::Report r =
@@ -397,8 +375,6 @@ TEST_F(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-        setCacheEnabled(true);
-        clearAllCaches();
         for (std::size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(cases[i].describe());
             const ir::Program p = lowerCase(cases[i]);
@@ -411,7 +387,7 @@ TEST_F(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
     }
 }
 
-TEST_F(EventAnalysisTest, ReportJsonIsStrictAndCsvSchemasLint)
+TEST(EventAnalysisTest, ReportJsonIsStrictAndCsvSchemasLint)
 {
     const Case c{nn::vgg16(), true, arch::Phase::Inference, false};
     const ir::Program p = lowerCase(c, 64);
@@ -437,7 +413,7 @@ TEST_F(EventAnalysisTest, ReportJsonIsStrictAndCsvSchemasLint)
     EXPECT_EQ(csvLint(sim::toCsv(t.run)), "");
 }
 
-TEST_F(EventAnalysisTest, PublishMetricsExportsOccupancyGauges)
+TEST(EventAnalysisTest, PublishMetricsExportsOccupancyGauges)
 {
     const Case c{nn::vgg16(), true, arch::Phase::Inference, false};
     const ir::Program p = lowerCase(c, 64);
@@ -462,7 +438,7 @@ TEST_F(EventAnalysisTest, PublishMetricsExportsOccupancyGauges)
     EXPECT_NEAR(shares, 1.0, 1e-12);
 }
 
-TEST_F(EventAnalysisTest, TraceEmitsInstantsFlowsAndReadyCounter)
+TEST(EventAnalysisTest, TraceEmitsInstantsFlowsAndReadyCounter)
 {
     const Case c{nn::lenet5(), true, arch::Phase::Inference, false};
     const ir::Program p = lowerCase(c, 4);

@@ -11,9 +11,8 @@
  *  - overlap on: double-buffered loads may only start instructions
  *    earlier, so the makespan never increases, while the work itself
  *    (dynamic energy, per-layer stats) stays bit-identical;
- *  - the whole contract holds unchanged at 1, 2, and 8 threads and
- *    with the evaluation cache on or off -- the schedule is a pure
- *    function of the lowered program.
+ *  - the whole contract holds unchanged at 1, 2, and 8 threads --
+ *    the schedule is a pure function of the lowered program.
  *
  * Plus the schedule-level invariants the fold rests on: no
  * instruction starts before its dependencies finish, and the exit
@@ -23,12 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "arch/config.hh"
-#include "common/cache.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "event/event.hh"
@@ -152,26 +149,7 @@ analyticRun(const EventCase &c)
                              c.batch);
 }
 
-/** Restore cache/thread globals however a test exits. */
-class EventBackendTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        clearAllCaches();
-    }
-
-    void
-    TearDown() override
-    {
-        setCacheEnabled(cacheEnabledFromEnv(
-            std::getenv("INCA_CACHE")));
-        clearAllCaches();
-    }
-};
-
-TEST_F(EventBackendTest, OverlapOffIsBitExactAcrossSeededCases)
+TEST(EventBackendTest, OverlapOffIsBitExactAcrossSeededCases)
 {
     for (const EventCase &c : seededCases(200)) {
         SCOPED_TRACE(c.describe());
@@ -180,7 +158,7 @@ TEST_F(EventBackendTest, OverlapOffIsBitExactAcrossSeededCases)
     }
 }
 
-TEST_F(EventBackendTest, OverlapOnNeverSlowerAndEnergyUnchanged)
+TEST(EventBackendTest, OverlapOnNeverSlowerAndEnergyUnchanged)
 {
     for (const EventCase &c : seededCases(100)) {
         SCOPED_TRACE(c.describe());
@@ -199,10 +177,9 @@ TEST_F(EventBackendTest, OverlapOnNeverSlowerAndEnergyUnchanged)
     }
 }
 
-TEST_F(EventBackendTest, BitIdenticalAtEveryThreadCount)
+TEST(EventBackendTest, BitIdenticalAtEveryThreadCount)
 {
     const auto cases = seededCases(12);
-    setCacheEnabled(false);
     std::vector<std::string> reference;
     for (const EventCase &c : cases)
         reference.push_back(
@@ -211,12 +188,10 @@ TEST_F(EventBackendTest, BitIdenticalAtEveryThreadCount)
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-        setCacheEnabled(true);
-        clearAllCaches();
         for (std::size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(cases[i].describe());
-            // Twice: the repeat is served from the layer cache and
-            // must still transcribe identically.
+            // Twice: a repeated execution must transcribe
+            // identically.
             EXPECT_EQ(
                 transcript(
                     event::execute(lowerCase(cases[i], false)).run),
@@ -229,7 +204,7 @@ TEST_F(EventBackendTest, BitIdenticalAtEveryThreadCount)
     }
 }
 
-TEST_F(EventBackendTest, Vgg16InferenceOverlapIsStrictlyFaster)
+TEST(EventBackendTest, Vgg16InferenceOverlapIsStrictlyFaster)
 {
     // The acceptance pin: on at least one Table III/IV network the
     // double-buffered schedule strictly beats the serial one (vgg16's
@@ -246,7 +221,7 @@ TEST_F(EventBackendTest, Vgg16InferenceOverlapIsStrictlyFaster)
     EXPECT_EQ(pipelined.run.sum("energy"), serial.run.sum("energy"));
 }
 
-TEST_F(EventBackendTest, ScheduleRespectsDependencies)
+TEST(EventBackendTest, ScheduleRespectsDependencies)
 {
     for (const EventCase &c : seededCases(20)) {
         SCOPED_TRACE(c.describe());

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/env.hh"
 #include "inca/engine.hh"
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
@@ -149,11 +150,11 @@ TEST(ExportJson, ProvenanceManifest)
     // never the empty-key hash 0x0.
     EXPECT_NE(run.configKeyHash, 0u);
     EXPECT_NE(json.find("\"threads\": "), std::string::npos);
-    EXPECT_NE(json.find("\"cache\": "), std::string::npos);
+    EXPECT_EQ(json.find("\"cache\""), std::string::npos);
     EXPECT_NE(json.find("\"build_type\": "), std::string::npos);
-    for (const char *var : {"INCA_TRACE", "INCA_METRICS",
-                            "INCA_NUM_THREADS", "INCA_CACHE"})
-        EXPECT_NE(json.find(var), std::string::npos) << var;
+    for (const std::string &var : knownEnvVars())
+        EXPECT_NE(json.find("\"" + var + "\": "), std::string::npos)
+            << var;
 }
 
 TEST(ExportJson, TrainingPhaseLabel)

@@ -3,18 +3,16 @@
  * The reliability engine: wear -> BER curves, deterministic fault
  * sampling, write-verify retry and spare-line remapping (including
  * ~200 seeded property cases), mitigation cost accounting, campaign
- * determinism across thread counts and cache states, and the DSE
+ * determinism across thread counts, and the DSE
  * resilience objective / min_accuracy_at_ber constraint wiring.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "baseline/crossbar.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
@@ -350,67 +348,6 @@ TEST(WriteVerifyCost, CostGrowsWithTheRetryBudget)
 }
 
 // ---------------------------------------------------------------------
-// Cache canonicalization
-// ---------------------------------------------------------------------
-
-TEST(ReliabilityCacheKeys, EveryFaultSpecFieldChangesTheKey)
-{
-    const auto keyOf = [](const FaultSpec &spec) {
-        CacheKey key;
-        appendKey(key, spec);
-        return key.bytes();
-    };
-    const FaultSpec base;
-    const std::string ref = keyOf(base);
-
-    FaultSpec s = base;
-    s.hardBer0 *= 2;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.hardBerWear *= 2;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.softBer0 *= 2;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.softBerWear *= 2;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.wearShape = 3.0;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.driftSigmaWear = 0.5;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.endurance = 1e6;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.seed ^= 1;
-    EXPECT_NE(keyOf(s), ref);
-    EXPECT_EQ(keyOf(base), ref); // and it is stable
-}
-
-TEST(ReliabilityCacheKeys, MitigationSpecFieldsChangeTheKey)
-{
-    const auto keyOf = [](const MitigationSpec &spec) {
-        CacheKey key;
-        appendKey(key, spec);
-        return key.bytes();
-    };
-    const MitigationSpec base;
-    const std::string ref = keyOf(base);
-    MitigationSpec s = base;
-    s.writeVerifyRetries = 1;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.spareRows = 1;
-    EXPECT_NE(keyOf(s), ref);
-    s = base;
-    s.spareCols = 1;
-    EXPECT_NE(keyOf(s), ref);
-}
-
-// ---------------------------------------------------------------------
 // Campaigns
 // ---------------------------------------------------------------------
 
@@ -428,24 +365,14 @@ smallCampaign()
     return opt;
 }
 
-/** Restore cache/thread globals however a test exits. */
+/** Restore the thread count however a test exits. */
 class CampaignTest : public ::testing::Test
 {
   protected:
     void
-    SetUp() override
-    {
-        clearAllCaches();
-        setCacheEnabled(true);
-    }
-
-    void
     TearDown() override
     {
         ThreadPool::setGlobalThreads(1);
-        setCacheEnabled(
-            cacheEnabledFromEnv(std::getenv("INCA_CACHE")));
-        clearAllCaches();
     }
 };
 
@@ -455,26 +382,12 @@ TEST_F(CampaignTest, CsvIsByteIdenticalAtEveryThreadCount)
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-        clearAllCaches();
         const CampaignResult result = runCampaign(smallCampaign());
         const std::string csv = campaignCsv(result);
         if (reference.empty())
             reference = csv;
         EXPECT_EQ(csv, reference);
     }
-}
-
-TEST_F(CampaignTest, CachedAndUncachedRunsAreByteIdentical)
-{
-    setCacheEnabled(false);
-    const std::string reference = campaignCsv(runCampaign(
-        smallCampaign()));
-    setCacheEnabled(true);
-    clearAllCaches();
-    // Twice: the second run is served from the point cache and must
-    // still transcribe identically.
-    EXPECT_EQ(campaignCsv(runCampaign(smallCampaign())), reference);
-    EXPECT_EQ(campaignCsv(runCampaign(smallCampaign())), reference);
 }
 
 TEST_F(CampaignTest, DifferentFaultSpecsNeverAliasInTheCache)
@@ -709,9 +622,11 @@ TEST(EnvHygiene, ClassifiesKnownAndUnknownIncaVariables)
                            "HOME=/root", "INCA_CACHE=0",
                            "INCA_TRACES=again", nullptr};
     const auto unknown = unrecognizedEnvVars(typos);
-    ASSERT_EQ(unknown.size(), 2u); // sorted, deduplicated
-    EXPECT_EQ(unknown[0], "INCA_THREADS");
-    EXPECT_EQ(unknown[1], "INCA_TRACES");
+    ASSERT_EQ(unknown.size(), 3u); // sorted, deduplicated
+    // The evaluation-cache switch is gone; setting it now warns.
+    EXPECT_EQ(unknown[0], "INCA_CACHE");
+    EXPECT_EQ(unknown[1], "INCA_THREADS");
+    EXPECT_EQ(unknown[2], "INCA_TRACES");
 
     EXPECT_TRUE(unrecognizedEnvVars(nullptr).empty());
 }
@@ -719,7 +634,7 @@ TEST(EnvHygiene, ClassifiesKnownAndUnknownIncaVariables)
 TEST(EnvHygiene, KnownListCoversEveryDocumentedSwitch)
 {
     const auto &known = knownEnvVars();
-    for (const char *name : {"INCA_CACHE", "INCA_METRICS",
+    for (const char *name : {"INCA_KERNEL_ISA", "INCA_METRICS",
                              "INCA_NUM_THREADS", "INCA_TRACE"}) {
         EXPECT_NE(std::find(known.begin(), known.end(), name),
                   known.end())

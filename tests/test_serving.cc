@@ -2,8 +2,8 @@
  * @file
  * Serving-simulator tests: arrival-process statistics, virtual-time
  * scheduling invariants (Little's law, FIFO within priority),
- * bit-identity of the full report across thread counts and cache
- * settings, p99 scaling with replicas, exact percentiles (simulator
+ * bit-identity of the full report across thread counts and cold or
+ * warm caches, p99 scaling with replicas, exact percentiles (simulator
  * and metrics histogram), strict CLI parsers, and the DSE bridge
  * (journal round-trip, max_p99_ms end-to-end).
  */
@@ -289,13 +289,14 @@ TEST(Simulator, ReportBytesIdenticalAcrossThreadsAndCache)
         EXPECT_EQ(requestsCsv(rep), refCsv)
             << "at " << threads << " threads";
     }
+    // A cold batch-cost cache and a warm one give the same bytes.
     ThreadPool::setGlobalThreads(4);
-    setCacheEnabled(false);
-    const ServingReport rep = simulate(tinySpec());
-    setCacheEnabled(true);
+    clearAllCaches();
+    const ServingReport cold = simulate(tinySpec());
+    const ServingReport warm = simulate(tinySpec());
     ThreadPool::setGlobalThreads(1);
-    EXPECT_EQ(reportText(rep), refText) << "with the cache off";
-    EXPECT_EQ(requestsCsv(rep), refCsv) << "with the cache off";
+    EXPECT_EQ(reportText(warm), reportText(cold));
+    EXPECT_EQ(requestsCsv(warm), requestsCsv(cold));
 }
 
 TEST(Simulator, P99DropsAsReplicasGrow)
