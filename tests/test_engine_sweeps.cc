@@ -115,6 +115,14 @@ struct GainPoint
     int batch;
 };
 
+// Without this gtest names each case by the point's raw bytes, which
+// hold the network string's address and so change from run to run.
+void
+PrintTo(const GainPoint &p, std::ostream *os)
+{
+    *os << p.network << "_b" << p.batch;
+}
+
 class GainSweep : public ::testing::TestWithParam<GainPoint>
 {
 };
