@@ -22,7 +22,6 @@
 #include "inca/engine.hh"
 #include "nn/model_zoo.hh"
 #include "sim/report.hh"
-#include "sim/schedule.hh"
 
 int
 main(int argc, char **argv)
@@ -75,14 +74,7 @@ main(int argc, char **argv)
     }
     t.print();
 
-    // 5. Execution timeline of the five longest layers.
-    const auto timeline = sim::timelineOf(run);
-    std::printf("\nlongest layers on the timeline:\n");
-    sim::Timeline top;
-    top.entries = timeline.longest(5);
-    std::fputs(top.gantt(48).c_str(), stdout);
-
-    // 6. The five most expensive layers.
+    // 5. The five most expensive layers.
     auto layers = run.layers;
     std::sort(layers.begin(), layers.end(),
               [](const auto &a, const auto &b) {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Regenerate tests/goldens_fig11_fig14.inc (paper ratio goldens) and
-# tests/goldens_ir.inc (IR lowering disassembly goldens) from the
-# current analytic models. Run from the repo root after a REVIEWED
-# model change; the paper-goldens and ir-lowering tests pin the
-# output bit-for-bit.
+# tests/goldens_ir.inc (IR lowering disassembly goldens and digests)
+# from the current analytic models. Run from the repo root after a
+# REVIEWED model change; the paper-goldens and ir-lowering tests pin
+# the output bit-for-bit.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -1,8 +1,13 @@
 /**
  * @file
- * Shared internals of the IS and WS lowering passes: the
- * position-independent per-layer instruction group and the assembly helpers that splice
- * groups into a Program.
+ * What the IS and WS lowering passes share. Both walk the network once
+ * and emit every span straight into the Program: the code that
+ * computes an instruction's stats also sets its opcode, unit, label,
+ * operands and span-local dependencies, so a span is complete when it
+ * is emitted. Shared here is only what both dataflows do the same way
+ * -- the program header, opening a span and emitting into it, serial
+ * chaining, the exit sync and the per-span eval histogram; the cost
+ * math and the network walks stay in lower_is.cc and lower_ws.cc.
  */
 
 #ifndef INCA_IR_LOWER_INTERNAL_HH
@@ -13,75 +18,122 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache.hh"
+#include "common/logging.hh"
+#include "common/metrics.hh"
 #include "ir/ir.hh"
+#include "ir/lower.hh"
 
 namespace inca {
 namespace ir {
 
-/**
- * A position-independent per-layer instruction group: dependencies are
- * group-local indices, labels and operands are unset (they carry the
- * layer name). appendSpan() rebases a copy into a concrete Program and
- * the caller then assigns labels, operands, and inter-span wiring.
- */
-struct LayerGroup
+/** Wall clock of computing one layer's span(s). */
+inline metrics::Histogram &
+layerEvalHistogram()
 {
-    std::vector<Instr> instrs;
-};
+    static metrics::Histogram *h =
+        &metrics::histogram("engine.layer_eval_us");
+    return *h;
+}
+
+/** An empty program with its header set; inputs act.in (+ grad.out). */
+template <class Config>
+Program
+programHeader(const Config &cfg, const char *engine,
+              const nn::NetworkDesc &net, arch::Phase phase,
+              int batchSize, const LowerOptions &opts, Watts idlePower)
+{
+    inca_assert(batchSize > 0, "batch size must be positive");
+    CacheKey cfgKey;
+    arch::appendKey(cfgKey, cfg);
+
+    Program p;
+    p.network = net.name;
+    p.engine = engine;
+    p.phase = phase;
+    p.batchSize = batchSize;
+    p.configKeyHash = cfgKey.hash();
+    p.idlePower = idlePower;
+    p.overlap = opts.overlap;
+    p.inputs = {"act.in"};
+    if (phase == arch::Phase::Training)
+        p.inputs.push_back("grad.out");
+    return p;
+}
+
+/** An instruction with its identity and operands set. */
+inline Instr
+instr(Op op, Unit unit, std::string label,
+      std::vector<std::string> reads = {},
+      std::vector<std::string> writes = {})
+{
+    Instr in;
+    in.op = op;
+    in.unit = unit;
+    in.label = std::move(label);
+    in.reads = std::move(reads);
+    in.writes = std::move(writes);
+    return in;
+}
 
 /**
- * Append @p g to @p p as a new span. Group-local dependencies are
- * rebased to global indices. Returns the global index of the group's
- * first instruction; the span's last instruction (base + count - 1)
- * is its completion point for inter-span wiring.
+ * Open a span at the end of @p p: every instruction emit()ted until
+ * the next openSpan() belongs to it. Returns the index its first
+ * instruction gets.
  */
 inline int
-appendSpan(Program &p, LayerGroup g, const std::string &name,
-           nn::LayerKind kind, bool synthetic, bool offCritical)
+openSpan(Program &p, std::string name, nn::LayerKind kind,
+         bool synthetic = false, bool offCritical = false)
 {
-    const int base = int(p.instrs.size());
-    Span s;
-    s.name = name;
-    s.kind = kind;
-    s.first = base;
-    s.count = int(g.instrs.size());
-    s.synthetic = synthetic;
-    s.offCritical = offCritical;
-    p.spans.push_back(std::move(s));
-    for (Instr &in : g.instrs) {
-        in.span = int(p.spans.size()) - 1;
-        for (int &d : in.deps)
-            d += base;
-        p.instrs.push_back(std::move(in));
-    }
-    return base;
+    p.spans.push_back({.name = std::move(name),
+                       .kind = kind,
+                       .first = int(p.instrs.size()),
+                       .synthetic = synthetic,
+                       .offCritical = offCritical});
+    return p.spans.back().first;
+}
+
+/** Append @p in to the open span; returns its global index. */
+inline int
+emit(Program &p, Instr in)
+{
+    in.span = int(p.spans.size()) - 1;
+    ++p.spans.back().count;
+    p.instrs.push_back(std::move(in));
+    return int(p.instrs.size()) - 1;
+}
+
+/** Append the span's closing "sync <name>" over @p deps. */
+inline int
+emitSync(Program &p, const std::string &name, std::vector<int> deps)
+{
+    Instr sync = instr(Op::Sync, Unit::Ctrl, "sync " + name);
+    sync.deps = std::move(deps);
+    return emit(p, std::move(sync));
 }
 
 /**
  * Serial wiring: every dependency-free instruction of the span that
  * starts at @p base (and runs to the end of the program) waits on
- * @p prevEnd. Instructions with intra-group dependencies inherit the
- * ordering transitively.
+ * @p end, which then moves to the span's last instruction -- its
+ * completion point. Instructions with span-local dependencies inherit
+ * the ordering transitively.
  */
 inline void
-chainAfter(Program &p, int base, int prevEnd)
+chainAfter(Program &p, int base, int &end)
 {
-    if (prevEnd < 0)
-        return;
-    for (int i = base; i < int(p.instrs.size()); ++i)
-        if (p.instrs[std::size_t(i)].deps.empty())
-            p.instrs[std::size_t(i)].deps.push_back(prevEnd);
+    if (end >= 0)
+        for (int i = base; i < int(p.instrs.size()); ++i)
+            if (p.instrs[std::size_t(i)].deps.empty())
+                p.instrs[std::size_t(i)].deps.push_back(end);
+    end = int(p.instrs.size()) - 1;
 }
 
 /** Append the single exit sync; @p lastCritical is its dependency. */
 inline void
 sealProgram(Program &p, int lastCritical)
 {
-    Instr exit;
-    exit.op = Op::Sync;
-    exit.unit = Unit::Ctrl;
-    exit.label = "exit";
-    exit.span = -1;
+    Instr exit = instr(Op::Sync, Unit::Ctrl, "exit");
     if (lastCritical >= 0)
         exit.deps.push_back(lastCritical);
     p.instrs.push_back(std::move(exit));

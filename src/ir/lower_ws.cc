@@ -22,14 +22,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/power.hh"
 #include "baseline/mapping.hh"
-#include "common/cache.hh"
-#include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/trace.hh"
 #include "dataflow/access_model.hh"
 #include "ir/lower_internal.hh"
@@ -72,53 +70,30 @@ wsBufferShare(const arch::BaselineConfig &cfg,
 
 namespace {
 
-/** Wall clock of one layer-group evaluation. */
-metrics::Histogram &
-layerEvalHistogram()
+/**
+ * The working instructions of a WS conv-like pipeline stage: op, unit,
+ * stats and duration, but no names or dependencies -- training emits
+ * the same stage as its forward, backward and update spans.
+ */
+struct Stage
 {
-    static metrics::Histogram *h =
-        &metrics::histogram("engine.layer_eval_us");
-    return *h;
-}
-
-// Instruction roles inside a WS conv-like stage group. Training
-// appends one extra Move before the sync (RRAM stores), shifting the
-// sync to index 5.
-enum
-{
-    kLoad = 0,
-    kMvm = 1,
-    kReduce = 2,
-    kMove = 3,
-    kSync = 4,
-    kStageCount = 5,
-    kExtra = 4, ///< training-only extra Move
-    kExtraSync = 5,
+    Instr load, mvm, reduce, move;
 };
 
-LayerGroup
-forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
-             const LayerDesc &layer, int batchSize)
+Stage
+stageWork(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
+          const LayerDesc &layer, int batchSize)
 {
     trace::Span span(trace::spanName("ws.fwd ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(kStageCount);
-    Instr &load = g.instrs[kLoad];
-    Instr &mvm = g.instrs[kMvm];
-    Instr &reduce = g.instrs[kReduce];
-    Instr &move = g.instrs[kMove];
-    Instr &sync = g.instrs[kSync];
-    load.op = Op::Load;
-    load.unit = Unit::Buffer;
-    mvm.op = Op::Mvm;
-    mvm.unit = Unit::Array;
-    reduce.op = Op::Reduce;
-    reduce.unit = Unit::Adc;
-    move.op = Op::Move;
-    move.unit = Unit::Buffer;
-    sync.op = Op::Sync;
-    sync.unit = Unit::Ctrl;
+    Stage st{instr(Op::Load, Unit::Buffer, ""),
+             instr(Op::Mvm, Unit::Array, ""),
+             instr(Op::Reduce, Unit::Adc, ""),
+             instr(Op::Move, Unit::Buffer, "")};
+    Instr &load = st.load;
+    Instr &mvm = st.mvm;
+    Instr &reduce = st.reduce;
+    Instr &move = st.move;
 
     const WsMapping m = baseline::mapLayer(layer, cfg);
     const double images = batchSize;
@@ -200,28 +175,71 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
     // per aBits cycles; all kernels' columns compute in parallel. The
     // fetch/save traffic pipelines with the reads (no exposed time).
     mvm.duration = activations * cfg.readCycle();
-    reduce.deps = {kMvm};
-    move.deps = {kReduce};
-    sync.deps = {kLoad, kMvm, kReduce, kMove};
-    return g;
+    return st;
 }
 
-LayerGroup
-auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
-         int batchSize)
+/**
+ * Emit @p st as the stage span @p name: fetch @p in, multiply it
+ * against @p weights, save the result as @p out. Training's backward
+ * and update passes add an RRAM @p store after the save. Returns the
+ * span's base.
+ */
+int
+emitStage(Program &p, Stage st, const std::string &name,
+          LayerKind kind, bool offCritical, const std::string &in,
+          const std::string &weights, const std::string &out,
+          std::optional<Instr> store = std::nullopt)
+{
+    const int base = openSpan(p, name, kind, false, offCritical);
+    st.load.label = "fetch " + name;
+    st.load.reads = {in};
+    st.load.writes = {"fetch." + name};
+    const int load = emit(p, std::move(st.load));
+    st.mvm.label = "mvm " + name;
+    st.mvm.reads = {"fetch." + name, weights};
+    st.mvm.writes = {"psum." + name};
+    const int mvm = emit(p, std::move(st.mvm));
+    st.reduce.label = "reduce " + name;
+    st.reduce.deps = {mvm};
+    st.reduce.reads = {"psum." + name};
+    st.reduce.writes = {"out." + name};
+    const int reduce = emit(p, std::move(st.reduce));
+    st.move.label = "save " + name;
+    st.move.deps = {reduce};
+    st.move.reads = {"out." + name};
+    st.move.writes = {out};
+    const int move = emit(p, std::move(st.move));
+    std::vector<int> deps{load, mvm, reduce, move};
+    if (store) {
+        store->deps = {move};
+        deps.push_back(emit(p, std::move(*store)));
+    }
+    emitSync(p, name, std::move(deps));
+    return base;
+}
+
+/** An RRAM store of @p cellWrites cells that reads @p tensor. */
+Instr
+arrayStore(const arch::BaselineConfig &cfg, std::string label,
+           std::string tensor, double cellWrites, Seconds duration)
+{
+    Instr store = instr(Op::Move, Unit::Array, std::move(label),
+                        {std::move(tensor)});
+    store.duration = duration;
+    store.stats.add("count.array.write", cellWrites);
+    store.stats.add("energy.array.write",
+                    cellWrites * cfg.device.avgWriteEnergy());
+    return store;
+}
+
+/** Post-processing work of a non-conv layer (op, unit, stats). */
+Instr
+auxWork(const arch::BaselineConfig &cfg, const LayerDesc &layer,
+        int batchSize)
 {
     trace::Span span(trace::spanName("ws.aux ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(2);
-    Instr &act = g.instrs[0];
-    Instr &sync = g.instrs[1];
-    act.op = Op::Activation;
-    act.unit = Unit::Digital;
-    sync.op = Op::Sync;
-    sync.unit = Unit::Ctrl;
-    sync.deps = {0};
-
+    Instr act = instr(Op::Activation, Unit::Digital, "");
     const double images = batchSize;
     const double outputs = double(layer.outputCount());
     switch (layer.kind) {
@@ -242,48 +260,27 @@ auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
       default:
         break;
     }
-    return g;
+    return act;
 }
 
-/** Copy @p g, inserting an extra Array Move (RRAM stores) before the
- *  sync; @p dep is the group-local index the store waits on. */
-LayerGroup
-withArrayStore(LayerGroup g, double cellWrites, Joules energy,
-               Seconds duration, int dep)
+/** Emit @p act as the span @p name turning @p in into @p out. */
+int
+emitAux(Program &p, Instr act, const std::string &name, LayerKind kind,
+        bool offCritical, const std::string &in, const std::string &out)
 {
-    Instr store;
-    store.op = Op::Move;
-    store.unit = Unit::Array;
-    store.stats.add("count.array.write", cellWrites);
-    store.stats.add("energy.array.write", energy);
-    store.duration = duration;
-    store.deps = {dep};
-    Instr sync = std::move(g.instrs.back());
-    sync.deps.push_back(kExtra);
-    g.instrs.back() = std::move(store);
-    g.instrs.push_back(std::move(sync));
-    return g;
+    const int base = openSpan(p, name, kind, false, offCritical);
+    act.label = "post " + name;
+    act.reads = {in};
+    act.writes = {out};
+    emitSync(p, name, {emit(p, std::move(act))});
+    return base;
 }
 
-/** The weight-reload group (two instructions + sync). */
-LayerGroup
-reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
-            bool training)
+/** The weight-reload span (stream + program + sync); returns its base. */
+int
+emitReload(Program &p, const arch::BaselineConfig &cfg,
+           const nn::NetworkDesc &net, bool training)
 {
-    LayerGroup g;
-    g.instrs.resize(3);
-    Instr &load = g.instrs[0];
-    Instr &move = g.instrs[1];
-    Instr &sync = g.instrs[2];
-    load.op = Op::Load;
-    load.unit = Unit::Dram;
-    move.op = Op::Move;
-    move.unit = Unit::Array;
-    move.deps = {0};
-    sync.op = Op::Sync;
-    sync.unit = Unit::Ctrl;
-    sync.deps = {0, 1};
-
     // Originals (+ transposed copies when training), streamed and
     // programmed; rows program in parallel across arrays, so the
     // exposed time is the DRAM stream.
@@ -291,37 +288,34 @@ reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         (training ? 2.0 : 1.0) * double(net.totalWeights()) *
         cfg.weightBits;
     const double bytes = weightBits / 8.0;
+    Instr load =
+        instr(Op::Load, Unit::Dram, "stream weights", {}, {"w.stream"});
     load.stats.add("count.dram.bytes", bytes);
     load.stats.add("energy.dram.weights", cfg.dram.accessEnergy(bytes));
+    load.duration = cfg.dram.streamTime(bytes);
+    Instr move =
+        instr(Op::Move, Unit::Array, "program weights", {"w.stream"});
     move.stats.add("energy.array.write",
                    weightBits * cfg.device.avgWriteEnergy());
-    load.duration = cfg.dram.streamTime(bytes);
-    return g;
+
+    const int base =
+        openSpan(p, "weight-reload", LayerKind::Conv);
+    const int iLoad = emit(p, std::move(load));
+    move.deps = {iLoad};
+    emitSync(p, "reload", {iLoad, emit(p, std::move(move))});
+    return base;
 }
 
-/** Label + operand assignment for a conv stage span at @p base. */
-void
-nameStage(Program &p, int base, const std::string &name,
-          const std::string &in, const std::string &weights,
-          const std::string &out, int count)
+/** A synthetic pipeline span of one timed sync; returns its base. */
+int
+emitPipeline(Program &p, std::string name, std::string label,
+             LayerKind kind, Seconds duration)
 {
-    Instr &load = p.instrs[std::size_t(base + kLoad)];
-    Instr &mvm = p.instrs[std::size_t(base + kMvm)];
-    Instr &reduce = p.instrs[std::size_t(base + kReduce)];
-    Instr &move = p.instrs[std::size_t(base + kMove)];
-    load.label = "fetch " + name;
-    load.reads = {in};
-    load.writes = {"fetch." + name};
-    mvm.label = "mvm " + name;
-    mvm.reads = {"fetch." + name, weights};
-    mvm.writes = {"psum." + name};
-    reduce.label = "reduce " + name;
-    reduce.reads = {"psum." + name};
-    reduce.writes = {"out." + name};
-    move.label = "save " + name;
-    move.reads = {"out." + name};
-    move.writes = {out};
-    p.instrs[std::size_t(base + count - 1)].label = "sync " + name;
+    const int base = openSpan(p, std::move(name), kind, true);
+    Instr sync = instr(Op::Sync, Unit::Pipeline, std::move(label));
+    sync.duration = duration;
+    emit(p, std::move(sync));
+    return base;
 }
 
 } // namespace
@@ -330,24 +324,11 @@ Program
 lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         arch::Phase phase, int batchSize, const LowerOptions &opts)
 {
-    inca_assert(batchSize > 0, "batch size must be positive");
-    CacheKey cfgKey;
-    arch::appendKey(cfgKey, cfg);
-
     const bool training = phase == arch::Phase::Training;
-    Program p;
-    p.network = net.name;
-    p.engine = "ws";
-    p.phase = phase;
-    p.batchSize = batchSize;
-    p.configKeyHash = cfgKey.hash();
-    p.idlePower = arch::baselineIdlePower(cfg);
     // The WS pipeline already overlaps analytically (fill + drain);
     // the overlap flag does not change its program.
-    p.overlap = opts.overlap;
-    p.inputs = {"act.in"};
-    if (training)
-        p.inputs.push_back("grad.out");
+    Program p = programHeader(cfg, "ws", net, phase, batchSize, opts,
+                              arch::baselineIdlePower(cfg));
     for (const auto &layer : net.layers) {
         if (!layer.isConvLike())
             continue;
@@ -366,28 +347,17 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         Seconds stageSum = 0.0;
         int stages = 0;
         for (const auto &layer : net.layers) {
-            int base;
-            if (layer.isConvLike()) {
-                base = appendSpan(
-                    p, forwardGroup(cfg, net, layer, batchSize),
-                    layer.name, layer.kind, false, false);
-                nameStage(p, base, layer.name, prevAct,
-                          "w." + layer.name, "act." + layer.name,
-                          kStageCount);
-                prevAct = "act." + layer.name;
-            } else {
-                base = appendSpan(p, auxGroup(cfg, layer, batchSize),
-                                  layer.name, layer.kind, false, false);
-                Instr &act = p.instrs[std::size_t(base)];
-                act.label = "post " + layer.name;
-                act.reads = {prevAct};
-                act.writes = {"act." + layer.name};
-                p.instrs[std::size_t(base + 1)].label =
-                    "sync " + layer.name;
-                prevAct = "act." + layer.name;
-            }
+            const std::string act = "act." + layer.name;
+            const int base =
+                layer.isConvLike()
+                    ? emitStage(p, stageWork(cfg, net, layer, batchSize),
+                                layer.name, layer.kind, false, prevAct,
+                                "w." + layer.name, act)
+                    : emitAux(p, auxWork(cfg, layer, batchSize),
+                              layer.name, layer.kind, false, prevAct,
+                              act);
+            prevAct = act;
             chainAfter(p, base, prevEnd);
-            prevEnd = int(p.instrs.size()) - 1;
             // Per-image stage time; the pipeline overlaps images.
             const Seconds stage = spanLatency(p, p.spans.back());
             slowest = std::max(slowest, stage);
@@ -411,33 +381,15 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
 
         // Weight reloading when the model exceeds on-chip RRAM:
         // stream the weights from DRAM and reprogram once per batch.
-        if (wsWeightsReloaded(cfg, net, false)) {
-            const int base =
-                appendSpan(p, reloadGroup(cfg, net, false),
-                           "weight-reload", LayerKind::Conv, false,
-                           false);
-            p.instrs[std::size_t(base)].label = "stream weights";
-            p.instrs[std::size_t(base)].writes = {"w.stream"};
-            p.instrs[std::size_t(base + 1)].label = "program weights";
-            p.instrs[std::size_t(base + 1)].reads = {"w.stream"};
-            p.instrs[std::size_t(base + 2)].label = "sync reload";
-            chainAfter(p, base, prevEnd);
-            prevEnd = int(p.instrs.size()) - 1;
-        }
+        if (wsWeightsReloaded(cfg, net, false))
+            chainAfter(p, emitReload(p, cfg, net, false), prevEnd);
 
         // ISAAC pipelining: fill once (the serial span chain above),
         // then one image per slowest stage -- the drain span.
-        LayerGroup drain;
-        drain.instrs.resize(1);
-        drain.instrs[0].op = Op::Sync;
-        drain.instrs[0].unit = Unit::Pipeline;
-        drain.instrs[0].duration =
-            double(batchSize - 1) * slowest;
-        const int base = appendSpan(p, std::move(drain), "drain",
-                                    LayerKind::Conv, true, false);
-        p.instrs[std::size_t(base)].label = "drain";
-        chainAfter(p, base, prevEnd);
-        prevEnd = base;
+        chainAfter(p,
+                   emitPipeline(p, "drain", "drain", LayerKind::Conv,
+                                double(batchSize - 1) * slowest),
+                   prevEnd);
     } else {
         // Forward, error backpropagation, and weight-gradient passes
         // all run on the crossbars with comparable window/bit-cycle
@@ -452,139 +404,79 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         Seconds slowest = 0.0;
         const double passes = 3.0;
         for (const auto &layer : net.layers) {
-            if (layer.isConvLike()) {
-                const LayerGroup fwd =
-                    forwardGroup(cfg, net, layer, batchSize);
-
-                int base = appendSpan(p, fwd, layer.name, layer.kind,
-                                      false, true);
-                nameStage(p, base, layer.name, prevAct,
-                          "w." + layer.name, "act." + layer.name,
-                          kStageCount);
-                chainAfter(p, base, postedEnd);
-                postedEnd = int(p.instrs.size()) - 1;
-                const Seconds stage =
-                    spanLatency(p, p.spans.back());
-                prevAct = "act." + layer.name;
-
-                // The backward pass reads the transposed-weight copy;
-                // the update pass writes activations/errors to RRAM
-                // and reprograms the weight cells (original +
-                // transposed). The pipelined abstraction does not
-                // track the per-layer gradient chain, so every
-                // backward stage consumes the streaming loss gradient.
-                const double aBits = cfg.activationBits;
-                const double actWrites =
-                    double(layer.inputCount()) * aBits * batchSize;
-                base = appendSpan(
-                    p,
-                    withArrayStore(fwd, actWrites,
-                                   actWrites *
-                                       cfg.device.avgWriteEnergy(),
-                                   0.0, kMove),
-                    layer.name + ".bwd", layer.kind, false, true);
-                nameStage(p, base, layer.name + ".bwd", "grad.out",
-                          "wT." + layer.name, "grad." + layer.name,
-                          kStageCount + 1);
-                p.instrs[std::size_t(base + kExtra)].label =
-                    "store-acts " + layer.name;
-                p.instrs[std::size_t(base + kExtra)].reads = {
-                    "grad." + layer.name};
-                chainAfter(p, base, postedEnd);
-                postedEnd = int(p.instrs.size()) - 1;
-
-                const double weightCellWrites =
-                    2.0 * double(layer.weightCount()) * cfg.weightBits;
-                base = appendSpan(
-                    p,
-                    withArrayStore(fwd, weightCellWrites,
-                                   weightCellWrites *
-                                       cfg.device.avgWriteEnergy(),
-                                   weightCellWrites > 0.0
-                                       ? cfg.device.tWrite
-                                       : 0.0,
-                                   kMove),
-                    layer.name + ".upd", layer.kind, false, true);
-                nameStage(p, base, layer.name + ".upd",
-                          "grad." + layer.name, "w." + layer.name,
-                          "dw." + layer.name, kStageCount + 1);
-                p.instrs[std::size_t(base + kExtra)].label =
-                    "program-weights " + layer.name;
-                p.instrs[std::size_t(base + kExtra)].reads = {
-                    "dw." + layer.name};
-                chainAfter(p, base, postedEnd);
-                postedEnd = int(p.instrs.size()) - 1;
-
-                slowest = std::max(slowest, stage);
-
-                // Critical chain: three pipelined passes of this
-                // stage (fill += passes * stage).
-                LayerGroup pipe;
-                pipe.instrs.resize(1);
-                pipe.instrs[0].op = Op::Sync;
-                pipe.instrs[0].unit = Unit::Pipeline;
-                pipe.instrs[0].duration = passes * stage;
-                base = appendSpan(p, std::move(pipe),
-                                  "pipe." + layer.name, layer.kind,
-                                  true, false);
-                p.instrs[std::size_t(base)].label =
-                    "pipe " + layer.name;
-                chainAfter(p, base, prevEnd);
-                prevEnd = base;
-            } else {
-                const LayerGroup aux = auxGroup(cfg, layer, batchSize);
-                for (int pass = 0; pass < 2; ++pass) {
-                    const bool bwd = pass == 1;
-                    const std::string name =
-                        bwd ? layer.name + ".bwd" : layer.name;
-                    const int base =
-                        appendSpan(p, aux, name, layer.kind, false,
-                                   true);
-                    Instr &act = p.instrs[std::size_t(base)];
-                    act.label = "post " + name;
-                    act.reads = {bwd ? std::string("grad.out")
-                                     : prevAct};
-                    act.writes = {
-                        (bwd ? "grad." : "act.") + name};
-                    p.instrs[std::size_t(base + 1)].label =
-                        "sync " + name;
-                    chainAfter(p, base, postedEnd);
-                    postedEnd = int(p.instrs.size()) - 1;
-                    if (!bwd)
-                        prevAct = "act." + name;
-                }
+            const std::string &l = layer.name;
+            if (!layer.isConvLike()) {
+                const Instr aux = auxWork(cfg, layer, batchSize);
+                chainAfter(p,
+                           emitAux(p, aux, l, layer.kind, true, prevAct,
+                                   "act." + l),
+                           postedEnd);
+                chainAfter(p,
+                           emitAux(p, aux, l + ".bwd", layer.kind, true,
+                                   "grad.out", "grad." + l + ".bwd"),
+                           postedEnd);
+                prevAct = "act." + l;
+                continue;
             }
+            const Stage fwd = stageWork(cfg, net, layer, batchSize);
+            chainAfter(p,
+                       emitStage(p, fwd, l, layer.kind, true, prevAct,
+                                 "w." + l, "act." + l),
+                       postedEnd);
+            const Seconds stage = spanLatency(p, p.spans.back());
+            prevAct = "act." + l;
+
+            // The backward pass reads the transposed-weight copy; the
+            // update pass writes activations/errors to RRAM and
+            // reprograms the weight cells (original + transposed). The
+            // pipelined abstraction does not track the per-layer
+            // gradient chain, so every backward stage consumes the
+            // streaming loss gradient.
+            const double aBits = cfg.activationBits;
+            const double actWrites =
+                double(layer.inputCount()) * aBits * batchSize;
+            chainAfter(p,
+                       emitStage(p, fwd, l + ".bwd", layer.kind, true,
+                                 "grad.out", "wT." + l, "grad." + l,
+                                 arrayStore(cfg, "store-acts " + l,
+                                            "grad." + l, actWrites,
+                                            0.0)),
+                       postedEnd);
+            const double weightCellWrites =
+                2.0 * double(layer.weightCount()) * cfg.weightBits;
+            chainAfter(p,
+                       emitStage(p, fwd, l + ".upd", layer.kind, true,
+                                 "grad." + l, "w." + l, "dw." + l,
+                                 arrayStore(cfg, "program-weights " + l,
+                                            "dw." + l, weightCellWrites,
+                                            weightCellWrites > 0.0
+                                                ? cfg.device.tWrite
+                                                : 0.0)),
+                       postedEnd);
+
+            slowest = std::max(slowest, stage);
+
+            // Critical chain: three pipelined passes of this stage
+            // (fill += passes * stage).
+            chainAfter(p,
+                       emitPipeline(p, "pipe." + l, "pipe " + l,
+                                    layer.kind, passes * stage),
+                       prevEnd);
         }
 
         // Images pipeline through the three passes at the unbalanced
         // slowest stage.
-        LayerGroup drain;
-        drain.instrs.resize(1);
-        drain.instrs[0].op = Op::Sync;
-        drain.instrs[0].unit = Unit::Pipeline;
-        drain.instrs[0].duration =
-            double(batchSize - 1) * passes * slowest;
-        int base = appendSpan(p, std::move(drain), "drain",
-                              LayerKind::Conv, true, false);
-        p.instrs[std::size_t(base)].label = "drain";
-        chainAfter(p, base, prevEnd);
-        prevEnd = base;
+        chainAfter(p,
+                   emitPipeline(p, "drain", "drain", LayerKind::Conv,
+                                double(batchSize - 1) * passes *
+                                    slowest),
+                   prevEnd);
 
         // The reload LayerCost lands after the per-layer rows, as the
         // engine ordered it; its latency joins the total by one
         // commuted addition (see file comment).
-        if (wsWeightsReloaded(cfg, net, true)) {
-            base = appendSpan(p, reloadGroup(cfg, net, true),
-                              "weight-reload", LayerKind::Conv, false,
-                              false);
-            p.instrs[std::size_t(base)].label = "stream weights";
-            p.instrs[std::size_t(base)].writes = {"w.stream"};
-            p.instrs[std::size_t(base + 1)].label = "program weights";
-            p.instrs[std::size_t(base + 1)].reads = {"w.stream"};
-            p.instrs[std::size_t(base + 2)].label = "sync reload";
-            chainAfter(p, base, prevEnd);
-            prevEnd = int(p.instrs.size()) - 1;
-        }
+        if (wsWeightsReloaded(cfg, net, true))
+            chainAfter(p, emitReload(p, cfg, net, true), prevEnd);
     }
 
     sealProgram(p, prevEnd);
