@@ -1,9 +1,10 @@
 #!/bin/sh
-# Regenerate tests/goldens_fig11_fig14.inc (paper ratio goldens) and
+# Regenerate tests/goldens_fig11_fig14.inc (paper ratio goldens),
 # tests/goldens_ir.inc (IR lowering disassembly goldens and digests)
-# from the current analytic models. Run from the repo root after a
-# REVIEWED model change; the paper-goldens and ir-lowering tests pin
-# the output bit-for-bit.
+# and tests/goldens_serving.inc (serving export digests) from the
+# current models. Run from the repo root after a REVIEWED model
+# change; the paper-goldens, ir-lowering and serving tests pin the
+# output bit-for-bit.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,3 +18,6 @@ echo "wrote tests/goldens_fig11_fig14.inc"
 INCA_NUM_THREADS=1 \
     ./build/tests/golden_gen --ir > tests/goldens_ir.inc
 echo "wrote tests/goldens_ir.inc"
+INCA_NUM_THREADS=1 \
+    ./build/tests/golden_gen --serving > tests/goldens_serving.inc
+echo "wrote tests/goldens_serving.inc"

@@ -5,8 +5,11 @@
  * goldens test pins -- and, with --ir, for tests/goldens_ir.inc --
  * the instruction-stream disassembly snapshot the IR lowering test
  * pins, plus a digest of the disassembly of every (network, engine,
- * phase, overlap) lowering. Run via scripts/regen_goldens.sh after a
- * REVIEWED model change; never hand-edit the .inc files.
+ * phase, overlap) lowering; with --serving, for
+ * tests/goldens_serving.inc -- the export digests of every case of the
+ * serving scenario matrix (tests/serving_digest.hh). Run via
+ * scripts/regen_goldens.sh after a REVIEWED model change; never
+ * hand-edit the .inc files.
  *
  * Values print as %.17g, which round-trips IEEE doubles exactly, so
  * the test can assert EXPECT_EQ -- any drift, however small, is a
@@ -22,6 +25,7 @@
 #include "ir/lower.hh"
 #include "ir_digest.hh"
 #include "nn/model_zoo.hh"
+#include "serving_digest.hh"
 
 namespace {
 
@@ -103,6 +107,30 @@ irMain()
     return 0;
 }
 
+int
+servingMain()
+{
+    using namespace inca;
+    std::printf(
+        "// Generated by tests/golden_gen.cc --serving -- do not edit.\n"
+        "// Regenerate with scripts/regen_goldens.sh after a\n"
+        "// reviewed serving-model change.\n"
+        "\n"
+        "inline const ServingGolden kServingGoldens[] = {\n");
+    for (const ServingDigestCase &c : servingDigestCases()) {
+        const ServingDigests d =
+            servingDigests(serving::simulate(c.spec));
+        std::printf("    {\"%s\",\n"
+                    "     0x%016llxULL, 0x%016llxULL, "
+                    "0x%016llxULL},\n",
+                    c.name.c_str(), (unsigned long long)d.json,
+                    (unsigned long long)d.requests,
+                    (unsigned long long)d.timeline);
+    }
+    std::printf("};\n");
+    return 0;
+}
+
 } // namespace
 
 int
@@ -111,6 +139,8 @@ main(int argc, char **argv)
     using namespace inca;
     if (argc > 1 && std::strcmp(argv[1], "--ir") == 0)
         return irMain();
+    if (argc > 1 && std::strcmp(argv[1], "--serving") == 0)
+        return servingMain();
     const int batch = 64;
     core::IncaEngine is(arch::paperInca());
     baseline::BaselineEngine base(arch::paperBaseline());

@@ -4,8 +4,10 @@
  * scheduling invariants (Little's law, FIFO within priority),
  * bit-identity of the full report across thread counts and cold or
  * warm caches, p99 scaling with replicas, exact percentiles (simulator
- * and metrics histogram), strict CLI parsers, and the DSE bridge
- * (journal round-trip, max_p99_ms end-to-end).
+ * and metrics histogram), export digests and a nearest-rank latency
+ * oracle over the serving scenario matrix (tests/serving_digest.hh),
+ * strict CLI parsers, and the DSE bridge (journal round-trip,
+ * max_p99_ms end-to-end).
  */
 
 #include <gtest/gtest.h>
@@ -25,10 +27,22 @@
 #include "json_lint.hh"
 #include "serving/export.hh"
 #include "serving/simulator.hh"
+#include "serving_digest.hh"
 
 namespace inca {
 namespace serving {
 namespace {
+
+/** One pinned (case, json, requests csv, timeline csv) digest row. */
+struct ServingGolden
+{
+    const char *name;
+    std::uint64_t json;
+    std::uint64_t requests;
+    std::uint64_t timeline;
+};
+
+#include "goldens_serving.inc"
 
 // ---------------------------------------------------------------
 // Arrival processes
@@ -362,6 +376,63 @@ TEST(Simulator, ExportsAreWellFormed)
     EXPECT_EQ(std::size_t(std::count(timeline.begin(),
                                      timeline.end(), '\n')),
               rep.queueTimeline.size() + 1);
+}
+
+// ---------------------------------------------------------------
+// Scenario matrix: pinned exports and an independent latency oracle
+
+TEST(ServingMatrix, ExportDigestsMatchGoldenTable)
+{
+    const std::vector<ServingDigestCase> cases = servingDigestCases();
+    ASSERT_EQ(std::size(kServingGoldens), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const ServingGolden &g = kServingGoldens[i];
+        SCOPED_TRACE(cases[i].name);
+        ASSERT_EQ(cases[i].name, g.name);
+        const ServingDigests d = servingDigests(simulate(cases[i].spec));
+        EXPECT_EQ(d.json, g.json);
+        EXPECT_EQ(d.requests, g.requests);
+        EXPECT_EQ(d.timeline, g.timeline);
+    }
+}
+
+/** Nearest-rank percentile of ascending @p sorted, for q in (0, 100]. */
+double
+nearestRank(const std::vector<double> &sorted, double q)
+{
+    const double n = double(sorted.size());
+    std::size_t rank = std::size_t(std::ceil(q / 100.0 * n));
+    rank = std::min(std::max<std::size_t>(rank, 1), sorted.size());
+    return sorted[rank - 1];
+}
+
+TEST(ServingMatrix, LatencySummaryMatchesANearestRankOracle)
+{
+    for (const ServingDigestCase &c : servingDigestCases()) {
+        SCOPED_TRACE(c.name);
+        const ServingReport rep = simulate(c.spec);
+        EXPECT_EQ(rep.completed + rep.shed + rep.timedOut + rep.failed,
+                  rep.offered);
+        std::vector<double> ok;
+        double sum = 0.0;
+        for (const RequestRecord &r : rep.requests) {
+            if (r.outcome != RequestOutcome::Ok)
+                continue;
+            ok.push_back(r.latencyS());
+            sum += r.latencyS();
+        }
+        ASSERT_EQ(ok.size(), rep.completed);
+        if (ok.empty()) {
+            EXPECT_EQ(rep.p99S, 0.0);
+            continue;
+        }
+        std::sort(ok.begin(), ok.end());
+        EXPECT_EQ(rep.p50S, nearestRank(ok, 50.0));
+        EXPECT_EQ(rep.p95S, nearestRank(ok, 95.0));
+        EXPECT_EQ(rep.p99S, nearestRank(ok, 99.0));
+        EXPECT_EQ(rep.maxLatencyS, ok.back());
+        EXPECT_DOUBLE_EQ(rep.meanLatencyS, sum / double(ok.size()));
+    }
 }
 
 // ---------------------------------------------------------------
