@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace inca {
 namespace serving {
@@ -11,14 +10,6 @@ namespace serving {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-
-/** Exponential variate with mean 1/rate from one uniform draw. */
-double
-exponential(SplitMix64 &rng, double rate)
-{
-    // 1 - uniform() is in (0, 1], so the log is always finite.
-    return -std::log(1.0 - rng.uniform()) / rate;
-}
 
 std::vector<Seconds>
 poissonTrace(SplitMix64 &rng, double rate, Seconds duration)
@@ -103,6 +94,13 @@ diurnalTrace(const ArrivalSpec &spec, SplitMix64 &rng,
 }
 
 } // namespace
+
+double
+exponential(SplitMix64 &rng, double rate)
+{
+    // 1 - uniform() is in (0, 1], so the log is always finite.
+    return -std::log(1.0 - rng.uniform()) / rate;
+}
 
 const char *
 arrivalKindName(ArrivalKind kind)

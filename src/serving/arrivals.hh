@@ -7,10 +7,12 @@
  * whose sojourns are exponential and whose time-averaged rate equals
  * the requested rate), and diurnal (a non-homogeneous Poisson process
  * with sinusoidal rate modulation, drawn by thinning). Every process
- * is a pure function of (spec, duration): the full arrival trace is
- * materialized up front from one SplitMix64 stream, so the simulator
- * that consumes it never touches an RNG and two runs with the same
- * spec are bit-identical at any thread count.
+ * is a pure function of (spec, duration): the ascending arrival trace
+ * is drawn up front from one SplitMix64 stream, so two runs with the
+ * same spec are bit-identical at any thread count. The simulator
+ * reads the trace through cursors -- arrivals, batch-timeout ticks
+ * and deadlines are the trace plus a constant, so each family is
+ * already in time order and never enters its event heap.
  */
 
 #ifndef INCA_SERVING_ARRIVALS_HH
@@ -20,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/units.hh"
 
 namespace inca {
@@ -63,6 +66,13 @@ struct ArrivalSpec
     Seconds diurnalPeriodS = 2.0;
     double diurnalDepth = 0.8;
 };
+
+/**
+ * Exponential variate with mean 1 / @p rate from one uniform draw of
+ * @p rng: the interarrival, sojourn, time-to-fail and repair draw of
+ * every seeded serving process.
+ */
+double exponential(SplitMix64 &rng, double rate);
 
 /**
  * Generate every arrival timestamp in [0, duration), sorted
