@@ -782,16 +782,17 @@ simulate(const ServingSpec &spec)
         // a full sort would put at that rank, at a fraction of the
         // cost of sorting a million latencies.
         auto end = latencies.end();
-        for (const auto &[q, out] :
-             {std::pair{99.0, &rep.p99S}, std::pair{95.0, &rep.p95S},
-              std::pair{50.0, &rep.p50S}}) {
+        const auto select = [&](double q) {
             const auto at =
                 latencies.begin() +
                 std::ptrdiff_t(nearestRank(latencies.size(), q) - 1);
             std::nth_element(latencies.begin(), at, end);
-            *out = *at;
             end = at + 1;
-        }
+            return *at;
+        };
+        rep.p99S = select(99.0);
+        rep.p95S = select(95.0);
+        rep.p50S = select(50.0);
     }
     if (rep.makespanS > 0.0) {
         rep.throughputRps =
