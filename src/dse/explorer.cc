@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 
@@ -197,36 +198,35 @@ Explorer::evaluate(std::uint64_t flatIndex) const
     Evaluation e;
     e.candidate = space_.candidate(flatIndex);
 
-    int adcBits = 0;
+    // The proxies and the constraint filter, shared by both chips;
+    // false when a hard constraint skips scoring.
+    const auto admit = [&](int adcBits, int activationBits,
+                           int arraySize) {
+        e.accuracy = accuracyProxy(options_.engine, adcBits,
+                                   maxWindow_, options_.noiseSigma);
+        e.resilience = resilienceProxy(
+            options_.engine, adcBits, maxWindow_, options_.noiseSigma,
+            options_.faultBer, activationBits, arraySize,
+            options_.mitigation);
+        const ConstraintCheck check =
+            checkConstraints(options_.constraints, e, options_.engine,
+                             adcBits, maxWindow_);
+        if (!check.ok) {
+            e.feasible = false;
+            e.rejectedBy = check.reason;
+        }
+        return check.ok || options_.softConstraints;
+    };
     if (options_.engine == EngineKind::Inca) {
         const arch::IncaConfig cfg = materializeInca(
             space_, e.candidate, options_.baseInca,
             options_.isoCapacity);
-        adcBits = cfg.adcBits;
         e.areaM2 = arch::incaArea(cfg).total();
         e.idlePowerW = arch::incaIdlePower(cfg);
         e.utilization =
             arch::incaNetworkUtilization(net_, cfg.subarraySize);
-        e.accuracy = accuracyProxy(EngineKind::Inca, adcBits,
-                                   maxWindow_, options_.noiseSigma);
-        e.resilience = resilienceProxy(
-            EngineKind::Inca, adcBits, maxWindow_,
-            options_.noiseSigma, options_.faultBer,
-            cfg.activationBits, cfg.subarraySize,
-            options_.mitigation);
-        const ConstraintCheck check =
-            checkConstraints(options_.constraints, e,
-                             EngineKind::Inca, adcBits, maxWindow_);
-        if (!check.ok) {
-            e.feasible = false;
-            e.rejectedBy = check.reason;
-            if (!options_.softConstraints)
-                return e;
-        }
-        const core::IncaEngine engine(cfg);
-        e.run = options_.phase == arch::Phase::Training
-                    ? engine.training(net_, cfg.batchSize)
-                    : engine.inference(net_, cfg.batchSize);
+        if (!admit(cfg.adcBits, cfg.activationBits, cfg.subarraySize))
+            return e;
         if (wantTimed_)
             scoreTimed(e, ir::lowerInca(cfg, net_, options_.phase,
                                         cfg.batchSize,
@@ -235,41 +235,23 @@ Explorer::evaluate(std::uint64_t flatIndex) const
         const arch::BaselineConfig cfg = materializeWs(
             space_, e.candidate, options_.baseWs,
             options_.isoCapacity);
-        adcBits = cfg.adcBits;
         e.areaM2 = arch::baselineArea(cfg).total();
         e.idlePowerW = arch::baselineIdlePower(cfg);
         e.utilization =
             arch::wsNetworkUtilization(net_, cfg.subarraySize);
-        e.accuracy = accuracyProxy(EngineKind::Ws, adcBits,
-                                   maxWindow_, options_.noiseSigma);
-        e.resilience = resilienceProxy(
-            EngineKind::Ws, adcBits, maxWindow_,
-            options_.noiseSigma, options_.faultBer,
-            cfg.activationBits, cfg.subarraySize,
-            options_.mitigation);
-        const ConstraintCheck check = checkConstraints(
-            options_.constraints, e, EngineKind::Ws, adcBits,
-            maxWindow_);
-        if (!check.ok) {
-            e.feasible = false;
-            e.rejectedBy = check.reason;
-            if (!options_.softConstraints)
-                return e;
-        }
-        const baseline::BaselineEngine engine(cfg);
-        e.run = options_.phase == arch::Phase::Training
-                    ? engine.training(net_, cfg.batchSize)
-                    : engine.inference(net_, cfg.batchSize);
+        if (!admit(cfg.adcBits, cfg.activationBits, cfg.subarraySize))
+            return e;
         if (wantTimed_)
             scoreTimed(e, ir::lowerWs(cfg, net_, options_.phase,
                                       cfg.batchSize,
                                       {/*overlap=*/true}));
     }
 
+    const arch::RunCost run = engineRun(e.candidate);
     e.scored = true;
-    e.energyJ = e.run.energy();
-    e.latencyS = e.run.latency;
-    e.configKeyHash = e.run.configKeyHash;
+    e.energyJ = run.energy();
+    e.latencyS = run.latency;
+    e.configKeyHash = run.configKeyHash;
     if (wantServing_) {
         scoreServing(e);
         // The SLO ceiling can only be checked here: unlike the cheap
@@ -299,6 +281,24 @@ Explorer::evaluate(std::uint64_t flatIndex) const
     }
     orientObjectives(e, options_.objectives);
     return e;
+}
+
+arch::RunCost
+Explorer::engineRun(const Candidate &cand) const
+{
+    const bool training = options_.phase == arch::Phase::Training;
+    if (options_.engine == EngineKind::Inca) {
+        const arch::IncaConfig cfg = materializeInca(
+            space_, cand, options_.baseInca, options_.isoCapacity);
+        const core::IncaEngine engine(cfg);
+        return training ? engine.training(net_, cfg.batchSize)
+                        : engine.inference(net_, cfg.batchSize);
+    }
+    const arch::BaselineConfig cfg = materializeWs(
+        space_, cand, options_.baseWs, options_.isoCapacity);
+    const baseline::BaselineEngine engine(cfg);
+    return training ? engine.training(net_, cfg.batchSize)
+                    : engine.inference(net_, cfg.batchSize);
 }
 
 void
@@ -372,15 +372,14 @@ Explorer::run()
     ExploreResult result;
     result.spaceSize = space_.size();
 
-    // Resume: recover journaled evaluations keyed by index. The
-    // strategy stream below is replayed identically either way; a
-    // journal hit just skips the engine run.
-    std::unordered_map<std::uint64_t, Evaluation> replay;
-    // Evaluations this run computed, keyed by index. evaluate() is a
-    // pure function of the index, so a revisited candidate (annealing
-    // chains revisit often) is copied from here instead of being
-    // scored again.
-    std::unordered_map<std::uint64_t, Evaluation> memo;
+    // Every evaluation known so far, keyed by index: journal replays
+    // (loaded on resume, marked reused) and the ones this run
+    // computed. evaluate() is a pure function of the index, so a
+    // revisited candidate (annealing chains revisit often) is copied
+    // from here instead of being scored again, and the strategy
+    // stream is replayed identically whether or not a journal hit
+    // skips the engine run.
+    std::unordered_map<std::uint64_t, Evaluation> known;
     JournalWriter writer;
     if (!options_.journalPath.empty()) {
         JournalHeader header;
@@ -396,7 +395,11 @@ Explorer::run()
                       options_.journalPath.c_str(),
                       contents.header.signature.c_str(),
                       header.signature.c_str());
-            replay = std::move(contents.evals);
+            known = std::move(contents.evals);
+            for (auto &[idx, e] : known) {
+                e.candidate = space_.candidate(idx);
+                e.reused = true;
+            }
             append = true;
         }
         writer.open(options_.journalPath, header, append);
@@ -425,14 +428,12 @@ Explorer::run()
 
         // Fan out the wave's distinct indices that neither the
         // journal nor an earlier proposal has evaluated, each into
-        // its own memo entry (references into an unordered_map stay
+        // its own map entry (references into an unordered_map stay
         // valid across inserts). Every entry is a pure function of
         // its index, so contents are scheduling-independent.
         std::vector<std::pair<std::uint64_t, Evaluation *>> fresh;
         for (const std::uint64_t idx : wave) {
-            if (replay.count(idx))
-                continue;
-            const auto [it, inserted] = memo.try_emplace(idx);
+            const auto [it, inserted] = known.try_emplace(idx);
             if (inserted)
                 fresh.emplace_back(idx, &it->second);
         }
@@ -449,17 +450,8 @@ Explorer::run()
         // Fill every proposal slot, revisits included.
         std::vector<Evaluation> evals;
         evals.reserve(wave.size());
-        for (const std::uint64_t idx : wave) {
-            const auto it = replay.find(idx);
-            if (it == replay.end()) {
-                evals.push_back(memo.at(idx));
-                continue;
-            }
-            Evaluation e = it->second;
-            e.candidate = space_.candidate(idx);
-            e.reused = true;
-            evals.push_back(std::move(e));
-        }
+        for (const std::uint64_t idx : wave)
+            evals.push_back(known.at(idx));
 
         // Everything order-sensitive happens serially, in proposal
         // order: journal, counters, frontier, strategy feedback.
@@ -485,10 +477,11 @@ Explorer::run()
             }
             if (e.feasible && e.scored)
                 frontier.insert(e);
-            result.evaluations.push_back(e);
         }
         frontierGauge.set(double(frontier.size()));
         strategy->observe(evals);
+        std::move(evals.begin(), evals.end(),
+                  std::back_inserter(result.evaluations));
         remaining -= std::min<std::uint64_t>(remaining, wave.size());
     }
 
@@ -621,16 +614,11 @@ exportFrontierRuns(const Explorer &explorer,
                    const std::string &prefix)
 {
     for (const Evaluation &point : result.frontier) {
-        // Re-score: evaluate() is pure, and it restores the full
-        // per-layer RunCost a journal-replayed point does not carry.
-        const Evaluation e = explorer.evaluate(point.candidate.index);
-        inca_assert(e.scored, "frontier member %llu failed to score",
-                    static_cast<unsigned long long>(
-                        point.candidate.index));
+        const arch::RunCost run = explorer.engineRun(point.candidate);
         const std::string base =
             prefix + "-" + std::to_string(point.candidate.index);
-        sim::writeFile(base + ".csv", sim::toCsv(e.run));
-        sim::writeFile(base + ".json", sim::toJson(e.run));
+        sim::writeFile(base + ".csv", sim::toCsv(run));
+        sim::writeFile(base + ".json", sim::toJson(run));
     }
 }
 

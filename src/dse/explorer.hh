@@ -8,9 +8,10 @@
  * so each distinct index is evaluated at most once per run: a wave
  * fans only its not-yet-seen indices out across the global
  * ThreadPool, and every proposal -- revisits included -- is filled
- * from a per-run index -> Evaluation memo. Everything order-sensitive
- * (journal append, frontier insert, metrics, strategy feedback) runs
- * serially in proposal order afterwards, once per proposal. The
+ * from one per-run index -> Evaluation map that also holds the
+ * journal's replays. Everything order-sensitive (journal append,
+ * frontier insert, metrics, strategy feedback) runs serially in
+ * proposal order afterwards, once per proposal. The
  * combination makes the full result, exports included, bit-identical
  * at any thread count.
  *
@@ -161,9 +162,15 @@ class Explorer
 
     /**
      * Evaluate one candidate index (pure; what run() fans out).
-     * Exposed for tests and for re-scoring frontier members.
+     * Exposed for tests.
      */
     Evaluation evaluate(std::uint64_t flatIndex) const;
+
+    /**
+     * The IS or WS engine's per-layer report for @p cand at the run's
+     * phase; evaluate() keeps only its scalars.
+     */
+    arch::RunCost engineRun(const Candidate &cand) const;
 
   private:
     /** Serving-simulate one scored candidate (fills p99/goodput/epr). */
@@ -206,10 +213,11 @@ std::string frontierJson(const Explorer &explorer,
                          const ExploreResult &result);
 
 /**
- * Re-score every frontier member and write per-run sim::toCsv /
- * sim::toJson files named <prefix>-<index>.{csv,json}. Re-scoring is
- * pure, so this works identically for resumed runs whose journal
- * carried only scalars.
+ * Write each frontier member's engine report (Explorer::engineRun)
+ * as sim::toCsv / sim::toJson files named <prefix>-<index>.{csv,json}.
+ * Only the engine runs again -- no timed lowering or serving
+ * simulation -- and it is pure, so a run resumed from a journal
+ * writes the same files.
  */
 void exportFrontierRuns(const Explorer &explorer,
                         const ExploreResult &result,

@@ -10,7 +10,9 @@
  * accuracy proxy -- computable without running an engine, which is
  * what lets Constraints filter before the expensive part) and the
  * engine-scored ones (energy, latency), plus the provenance hash that
- * ties the point back to its exact arch config.
+ * ties the point back to its exact arch config. It holds scalars
+ * only: the engine's per-layer report is dropped once they are read,
+ * and Explorer::engineRun() rebuilds it for the points that need it.
  *
  * The accuracy objective is an analytic proxy, not a training run:
  * ADC window clipping (a b-bit ADC represents 2^b - 1 levels; a k x k
@@ -30,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/cost.hh"
 #include "dse/space.hh"
 #include "nn/network.hh"
 #include "reliability/mitigation.hh"
@@ -134,13 +135,6 @@ struct Evaluation
      * vector dominance compares. Empty when not scored.
      */
     std::vector<double> objectives;
-
-    /**
-     * Full per-layer cost of the scoring run. Only populated for
-     * points scored in-process (empty when replayed from a journal);
-     * presentation-only, never part of the dominance comparison.
-     */
-    arch::RunCost run;
 
     /** Natural (un-negated) value of one objective. */
     double value(Objective o) const;
