@@ -8,6 +8,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 
 namespace inca {
@@ -127,9 +129,17 @@ struct Registry
     std::unordered_map<std::string, Histogram *> histogramByName;
 };
 
+/** Process that registered the exit-time export. */
+pid_t gExportOwner = 0;
+
 void
 writeAtExit()
 {
+    // A forked child inherits the registration but not the thread
+    // that may hold the registry lock at fork time: exporting there
+    // could block on it, and would overwrite the parent's file.
+    if (getpid() != gExportOwner)
+        return;
     const char *path = std::getenv("INCA_METRICS");
     if (path == nullptr || *path == '\0')
         return;
@@ -148,8 +158,10 @@ registry()
     static Registry *r = [] {
         auto *reg = new Registry;
         if (const char *env = std::getenv("INCA_METRICS")) {
-            if (*env != '\0')
+            if (*env != '\0') {
+                gExportOwner = getpid();
                 std::atexit(writeAtExit);
+            }
         }
         return reg;
     }();

@@ -6,9 +6,7 @@
 #include <exception>
 #include <memory>
 
-#ifdef __linux__
 #include <pthread.h>
-#endif
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -36,6 +34,39 @@ threadsFromEnv()
 /** Storage of the global pool, shared by global() and resizing. */
 std::mutex gPoolMutex;
 std::unique_ptr<ThreadPool> gPool;
+
+/*
+ * Fork handlers. A forked child has only the forking thread: the
+ * inherited pool's workers are gone, and a pool lock one of them held
+ * at fork time stays locked. Destroying that pool (std::exit, e.g.
+ * from fatal(), runs gPool's destructor) would block on the lock or
+ * join threads that do not exist, so the child abandons it unread and
+ * its next parallel_for builds a fresh pool. gPoolMutex is held
+ * across fork() so the child never inherits it locked.
+ */
+void
+lockPoolForFork()
+{
+    gPoolMutex.lock();
+}
+
+void
+unlockPoolInParent()
+{
+    gPoolMutex.unlock();
+}
+
+void
+abandonPoolInChild()
+{
+    (void)gPool.release(); // leaked: its workers do not exist here
+    gPoolMutex.unlock();
+}
+
+const bool gForkHandlers =
+    (pthread_atfork(lockPoolForFork, unlockPoolInParent,
+                    abandonPoolInChild),
+     true);
 
 /** Seconds a claimed job waited between submission and first pickup. */
 metrics::Histogram &

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <thread>
 
+#include <unistd.h>
+
 namespace inca {
 namespace trace {
 
@@ -45,10 +47,17 @@ struct State
     std::vector<std::function<void()>> flushCallbacks;
 };
 
+/** Process that registered the exit-time flush. */
+pid_t gFlushOwner = 0;
+
 void
 flushAtExit()
 {
-    if (enabled())
+    // A forked child (a death test, say) inherits the registration
+    // but not the threads that may hold a buffer lock at fork time:
+    // flushing there could block on that lock, and would overwrite
+    // the parent's trace file, so only the registering process does.
+    if (getpid() == gFlushOwner && enabled())
         stop();
 }
 
@@ -65,6 +74,7 @@ state()
             if (*env != '\0') {
                 st->path = env;
                 st->enabled.store(true, std::memory_order_relaxed);
+                gFlushOwner = getpid();
                 std::atexit(flushAtExit);
             }
         }

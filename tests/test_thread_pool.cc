@@ -3,20 +3,29 @@
  * ThreadPool semantics tests: exactly-once index coverage, nested
  * submission (no deadlock -- inner loops run inline on the worker),
  * exception propagation to the submitting thread, pool reusability
- * after a throw, and an end-to-end check that a full Trainer run is
- * bit-identical at 1 and 4 lanes.
+ * after a throw, fork safety (a child forked while workers are busy
+ * can run a fresh pool and exit through fatal()), and an end-to-end
+ * check that a full Trainer run is bit-identical at 1 and 4 lanes.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "nn/dataset.hh"
@@ -130,6 +139,58 @@ TEST_F(ThreadPoolTest, ThreadCountClampsAndReports)
     EXPECT_EQ(ThreadPool::globalThreadCount(), 1);
     ThreadPool::setGlobalThreads(3);
     EXPECT_EQ(ThreadPool::globalThreadCount(), 3);
+}
+
+/**
+ * A child forked while the pool's workers are busy inherits none of
+ * them, but may inherit a pool lock one of them held. It must still
+ * run a parallel_for (on a fresh pool) and exit through fatal(),
+ * whose std::exit used to destroy the inherited pool and block on
+ * that lock.
+ */
+TEST_F(ThreadPoolTest, ForkedChildRunsAndDiesWhileWorkersBusy)
+{
+    ThreadPool::setGlobalThreads(4);
+    std::atomic<bool> stop{false};
+    std::atomic<std::int64_t> sink{0};
+    std::thread busy([&] {
+        while (!stop.load())
+            parallel_for_each(256, 1, [&](std::int64_t i) {
+                sink.fetch_add(i, std::memory_order_relaxed);
+            });
+    });
+
+    for (int round = 0; round < 100; ++round) {
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            const int devnull = open("/dev/null", O_WRONLY);
+            dup2(devnull, STDERR_FILENO);
+            std::atomic<std::int64_t> sum{0};
+            parallel_for_each(1000, 1, [&](std::int64_t i) {
+                sum.fetch_add(i);
+            });
+            if (sum.load() != 999 * 1000 / 2)
+                _exit(2);
+            fatal("forked child %d", round);
+        }
+        int status = 0;
+        pid_t done = 0;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (done == 0) {
+            kill(pid, SIGKILL);
+            waitpid(pid, &status, 0);
+        }
+        ASSERT_EQ(done, pid) << "child " << round << " hung";
+        ASSERT_TRUE(WIFEXITED(status)) << "child " << round;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << "child " << round;
+    }
+    stop = true;
+    busy.join();
 }
 
 nn::DatasetPair
