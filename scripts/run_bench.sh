@@ -49,20 +49,21 @@ measure() {
 # measured in the same run): machine-wide throughput drift between
 # the baseline machine and this one cancels per benchmark, so the
 # 15% threshold gates the speedup shape the kernel overhaul claims,
-# not the host's mood.
+# not the host's mood. Every gate runs and prints its verdict; the
+# call fails afterwards if any of them failed.
 compare_once() {
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_kernels.json" \
-        BENCH_kernels.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_campaign.json" \
-        BENCH_campaign.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_event.json" \
-        BENCH_event.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_analysis.json" \
-        BENCH_analysis.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_serving.json" \
-        BENCH_serving.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_chaos.json" \
-        BENCH_chaos.json --threshold 0.15 --relative-to-scalar
+    failed=""
+    for bench in kernels campaign event analysis serving chaos; do
+        echo "== BENCH_$bench =="
+        ./build/bench/bench_compare "$BASELINE_DIR/BENCH_$bench.json" \
+            "BENCH_$bench.json" --threshold 0.15 --relative-to-scalar ||
+            failed="$failed $bench"
+    done
+    if [ -n "$failed" ]; then
+        echo "failed gates:$failed"
+        return 1
+    fi
+    echo "all gates passed"
 }
 
 measure
