@@ -152,7 +152,21 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double gaussian(double mean, double sigma);
 
+    /**
+     * Fill @p out with exactly the values @p count sequential
+     * gaussian() calls would return, bit for bit, consuming a pending
+     * spare first and leaving one pending when @p count ends halfway
+     * through a pair. The uniform draws stay serial; the pure
+     * Box-Muller transform of each pair is fanned across the thread
+     * pool in fixed-size chunks, so the result is the same at every
+     * thread count and no memory beyond @p out is used.
+     */
+    void fillGaussian(double *out, std::size_t count);
+
   private:
+    /** The serial half of one Box-Muller pair: u1 in (0, 1), u2. */
+    void drawUniformPair(double &u1, double &u2);
+
     std::uint64_t s_[4];
     bool hasSpare_ = false;
     double spare_ = 0.0;

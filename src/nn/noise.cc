@@ -1,6 +1,8 @@
 #include "nn/noise.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -19,8 +21,17 @@ addRangeNoiseInPlace(Tensor &t, double sigma, Rng &rng)
     if (range == 0.0)
         return;
     const double scale = sigma * range;
-    for (std::int64_t i = 0; i < t.size(); ++i)
-        t[i] += float(rng.gaussian(0.0, scale));
+    // The draws arrive in fixed-size batches, so memory stays bounded
+    // while each value is still gaussian(0.0, scale)'s, bit for bit.
+    constexpr std::int64_t kChunk = 4096;
+    std::vector<double> z(std::size_t(std::min(kChunk, t.size())));
+    float *ts = t.data();
+    for (std::int64_t base = 0; base < t.size(); base += kChunk) {
+        const std::int64_t m = std::min(kChunk, t.size() - base);
+        rng.fillGaussian(z.data(), std::size_t(m));
+        for (std::int64_t j = 0; j < m; ++j)
+            ts[base + j] += float(0.0 + scale * z[std::size_t(j)]);
+    }
 }
 
 Tensor

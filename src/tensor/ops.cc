@@ -35,75 +35,110 @@ namespace {
 constexpr std::int64_t kFilterBlock = 16;
 
 /**
+ * Output positions p in [0, out) whose window tap p * stride + off
+ * lands inside [0, in): an interval, since the tap is affine in p.
+ */
+std::pair<std::int64_t, std::int64_t>
+validRange(std::int64_t off, std::int64_t stride, std::int64_t in,
+           std::int64_t out)
+{
+    const std::int64_t begin = off >= 0 ? 0 : (-off + stride - 1) / stride;
+    const std::int64_t end =
+        in - 1 - off < 0 ? 0 : std::min(out, (in - 1 - off) / stride + 1);
+    return {begin, std::max(begin, end)};
+}
+
+/**
+ * Geometry of one im2col packing: input images [C, H, W], a KH x KW
+ * window at @p stride with padH / padW zero rows / columns before the
+ * image, and an OH x OW output grid. The grid is passed in rather
+ * than derived so callers can request asymmetric overhang (transposed
+ * convolution needs up to stride-1 extra rows at the bottom/right --
+ * "output padding"); overhang reads as zeros like the padding.
+ */
+struct PackGeom
+{
+    std::int64_t c, h, wd, kh, kw, oh, ow;
+    std::int64_t stride, padH, padW;
+};
+
+/**
+ * The one im2col packer. Writes tap k = (ic, kr, kc) of every output
+ * position (orow, ocol) of one image to dst[orow * rowStride + ocol *
+ * colStride]. Out-of-window taps are skipped, so callers pack into
+ * zeroed storage: the zeros reproduce the naive loops' skipped
+ * contributions. The valid positions form one row interval and one
+ * column interval, so each output row is a single copyRow/gatherRow
+ * call (colStride 1) or one strided scatter, with no per-element
+ * bounds checks.
+ */
+void
+packTap(const kernels::KernelSet &ks, const PackGeom &g,
+        const float *xImage, std::int64_t k, float *dst,
+        std::int64_t rowStride, std::int64_t colStride)
+{
+    const std::int64_t ic = k / (g.kh * g.kw);
+    const std::int64_t kr = (k / g.kw) % g.kh;
+    const std::int64_t kc = k % g.kw;
+    const auto [iBegin, iEnd] = validRange(kr - g.padH, g.stride, g.h, g.oh);
+    const auto [jBegin, jEnd] = validRange(kc - g.padW, g.stride, g.wd, g.ow);
+    const std::int64_t count = jEnd - jBegin;
+    if (count == 0)
+        return;
+    const float *plane = xImage + ic * g.h * g.wd;
+    const std::int64_t icol = jBegin * g.stride + kc - g.padW;
+    for (std::int64_t orow = iBegin; orow < iEnd; ++orow) {
+        const float *src =
+            plane + (orow * g.stride + kr - g.padH) * g.wd + icol;
+        float *drow = dst + orow * rowStride + jBegin * colStride;
+        if (colStride != 1) {
+            for (std::int64_t j = 0; j < count; ++j)
+                drow[j * colStride] = src[j * g.stride];
+        } else if (g.stride == 1) {
+            ks.copyRow(drow, src, count);
+        } else {
+            ks.gatherRow(drow, src, count, g.stride);
+        }
+    }
+}
+
+/** Packing geometry of a rank-4 input under a symmetric ConvSpec. */
+PackGeom
+im2colGeom(const Tensor &x, int kh, int kw, const ConvSpec &spec)
+{
+    inca_assert(x.rank() == 4, "im2col expects rank 4");
+    return PackGeom{x.dim(1), x.dim(2), x.dim(3), kh, kw,
+                    convOutDim(x.dim(2), kh, spec),
+                    convOutDim(x.dim(3), kw, spec), spec.stride,
+                    spec.pad, spec.pad};
+}
+
+/**
  * Shared convolution engine: y[in][of][pix] = sum_k wFlat[of][k] *
  * colsT[in][k][pix], where colsT is the transposed im2col of one
  * image (k = (ic, kr, kc) ascending -- the naive accumulation order)
  * and wFlat is the [F, C*KH*KW] row-major view of the kernels.
  *
- * Phase 1 packs colsT for all images in parallel (disjoint rows);
- * phase 2 fans the GEMM over batch x filter blocks (disjoint output
- * slices). Out-of-window taps stay exact zeros, reproducing the
- * naive loops' skipped contributions.
- *
- * @p oh / @p ow are passed in rather than derived so callers can
- * request asymmetric overhang (transposed convolution needs up to
- * stride-1 extra rows at the bottom/right -- "output padding"); the
- * bounds checks treat any overhang as zeros.
+ * Phase 1 packs colsT for all images in parallel, one (image, k) row
+ * per packTap call (disjoint rows); phase 2 fans the GEMM over batch
+ * x filter blocks (disjoint output slices).
  */
 Tensor
-convViaGemm(const float *xData, std::int64_t n, std::int64_t c,
-            std::int64_t h, std::int64_t wd, const float *wFlat,
-            std::int64_t f, std::int64_t kh, std::int64_t kw,
-            int stride, int padH, int padW, std::int64_t oh,
-            std::int64_t ow)
+convViaGemm(const float *xData, std::int64_t n, const float *wFlat,
+            std::int64_t f, const PackGeom &g)
 {
-    const std::int64_t depth = c * kh * kw;
-    const std::int64_t pix = oh * ow;
+    const std::int64_t depth = g.c * g.kh * g.kw;
+    const std::int64_t oh = g.oh, ow = g.ow, pix = oh * ow;
+    const std::int64_t imageSize = g.c * g.h * g.wd;
     const kernels::KernelSet &ks = kernels::active();
 
-    // Packed im2col workspace. Zeroed lease: out-of-window taps must
-    // stay exact zeros, reproducing the naive loops' skipped
-    // contributions. Each (image, k) row copies its valid column
-    // range in one shot -- the window bounds are affine in ocol, so
-    // the per-element bounds checks of the scalar era collapse into
-    // an interval [jBegin, jEnd) and one copyRow/gatherRow call.
+    // Zeroed lease: packTap leaves out-of-window taps untouched.
     arena::ScratchLease colsT =
         arena::scratchFloats(std::size_t(n * depth * pix), true);
     parallel_for(n * depth, 8, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t idx = lo; idx < hi; ++idx) {
-            const std::int64_t in = idx / depth;
-            const std::int64_t k = idx % depth;
-            const std::int64_t ic = k / (kh * kw);
-            const std::int64_t kr = (k / kw) % kh;
-            const std::int64_t kc = k % kw;
-            const float *xp = xData + ((in * c + ic) * h) * wd;
-            float *dst = colsT.data() + idx * pix;
-
-            // Valid ocol satisfy 0 <= ocol*stride + off < wd.
-            const std::int64_t off = kc - padW;
-            const std::int64_t jBegin =
-                off >= 0 ? 0 : (-off + stride - 1) / stride;
-            const std::int64_t jEnd =
-                wd - 1 - off < 0
-                    ? 0
-                    : std::min(ow, (wd - 1 - off) / stride + 1);
-            if (jBegin >= jEnd)
-                continue;
-            const std::int64_t count = jEnd - jBegin;
-
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                const std::int64_t ir = orow * stride + kr - padH;
-                if (ir < 0 || ir >= h)
-                    continue;
-                const float *src =
-                    xp + ir * wd + jBegin * stride + off;
-                float *drow = dst + orow * ow + jBegin;
-                if (stride == 1)
-                    ks.copyRow(drow, src, count);
-                else
-                    ks.gatherRow(drow, src, count, stride);
-            }
-        }
+        for (std::int64_t idx = lo; idx < hi; ++idx)
+            packTap(ks, g, xData + (idx / depth) * imageSize,
+                    idx % depth, colsT.data() + idx * pix, ow, 1);
     });
 
     Tensor y({n, f, oh, ow});
@@ -217,11 +252,8 @@ conv2d(const Tensor &x, const Tensor &w, const ConvSpec &spec)
     // weight matrix the GEMM wants -- one unrolled kernel per row,
     // exactly how WS crossbars lay kernels out (one kernel per
     // bitline).
-    return convViaGemm(x.data(), x.dim(0), x.dim(1), x.dim(2),
-                       x.dim(3), w.data(), w.dim(0), w.dim(2),
-                       w.dim(3), spec.stride, spec.pad, spec.pad,
-                       convOutDim(x.dim(2), int(w.dim(2)), spec),
-                       convOutDim(x.dim(3), int(w.dim(3)), spec));
+    return convViaGemm(x.data(), x.dim(0), w.data(), w.dim(0),
+                       im2colGeom(x, int(w.dim(2)), int(w.dim(3)), spec));
 }
 
 Tensor
@@ -317,8 +349,8 @@ conv2dInputGrad(const Tensor &dy, const Tensor &w,
         }
     });
 
-    return convViaGemm(srcData, n, f, srcH, srcW, wT.data(), c, kh,
-                       kw, 1, padH, padW, h, wd);
+    return convViaGemm(srcData, n, wT.data(), c,
+                       PackGeom{f, srcH, srcW, kh, kw, h, wd, 1, padH, padW});
 }
 
 Tensor
@@ -574,36 +606,21 @@ transpose(const Tensor &a)
 Tensor
 im2col(const Tensor &x, int kh, int kw, const ConvSpec &spec)
 {
-    inca_assert(x.rank() == 4, "im2col expects rank 4");
-    const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2),
-                       wd = x.dim(3);
-    const std::int64_t oh = convOutDim(h, kh, spec);
-    const std::int64_t ow = convOutDim(wd, kw, spec);
-    const std::int64_t depth = c * std::int64_t(kh) * kw;
+    const PackGeom g = im2colGeom(x, kh, kw, spec);
+    const std::int64_t n = x.dim(0), pix = g.oh * g.ow;
+    const std::int64_t depth = g.c * g.kh * g.kw;
+    const std::int64_t imageSize = g.c * g.h * g.wd;
+    const kernels::KernelSet &ks = kernels::active();
 
-    Tensor cols({n * oh * ow, depth});
-    parallel_for(n * oh * ow, 32, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t row = lo; row < hi; ++row) {
-            const std::int64_t in = row / (oh * ow);
-            const std::int64_t orow = (row / ow) % oh;
-            const std::int64_t ocol = row % ow;
-            float *dst = cols.data() + row * depth;
-            std::int64_t col = 0;
-            for (std::int64_t ic = 0; ic < c; ++ic) {
-                const float *xp = x.data() + ((in * c + ic) * h) * wd;
-                for (std::int64_t kr = 0; kr < kh; ++kr) {
-                    const std::int64_t ir =
-                        orow * spec.stride + kr - spec.pad;
-                    for (std::int64_t kc = 0; kc < kw; ++kc, ++col) {
-                        const std::int64_t icl =
-                            ocol * spec.stride + kc - spec.pad;
-                        if (ir < 0 || ir >= h || icl < 0 || icl >= wd)
-                            continue;
-                        dst[col] = xp[ir * wd + icl];
-                    }
-                }
-            }
-        }
+    // Row (image, orow, ocol), column k: packTap's transpose of the
+    // colsT layout, one image (a disjoint block of rows) per task.
+    Tensor cols({n * pix, depth});
+    parallel_for(n, 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t in = lo; in < hi; ++in)
+            for (std::int64_t k = 0; k < depth; ++k)
+                packTap(ks, g, x.data() + in * imageSize, k,
+                        cols.data() + in * pix * depth + k,
+                        g.ow * depth, depth);
     });
     return cols;
 }
@@ -664,10 +681,12 @@ Tensor
 relu(const Tensor &x)
 {
     Tensor y(x.shape());
+    const float *xs = x.data();
+    float *ys = y.data();
     parallel_for(x.size(), kMapGrain,
                  [&](std::int64_t lo, std::int64_t hi) {
                      for (std::int64_t i = lo; i < hi; ++i)
-                         y[i] = std::max(0.0f, x[i]);
+                         ys[i] = std::max(0.0f, xs[i]);
                  });
     return y;
 }
@@ -677,10 +696,17 @@ reluGrad(const Tensor &dy, const Tensor &x)
 {
     inca_assert(dy.shape() == x.shape(), "reluGrad shape mismatch");
     Tensor dx(x.shape());
+    const float *dys = dy.data();
+    const float *xs = x.data();
+    float *dxs = dx.data();
+    // dy is loaded unconditionally so the mask compiles to a select,
+    // not a branch on the sign of x (which mispredicts half the time).
     parallel_for(x.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+                 [=](std::int64_t lo, std::int64_t hi) {
+                     for (std::int64_t i = lo; i < hi; ++i) {
+                         const float g = dys[i];
+                         dxs[i] = xs[i] > 0.0f ? g : 0.0f;
+                     }
                  });
     return dx;
 }
@@ -739,40 +765,47 @@ PoolResult
 maxPool2d(const Tensor &x, int k, const ConvSpec &spec)
 {
     inca_assert(x.rank() == 4, "maxPool2d expects rank 4");
+    // pad < k puts at least one input tap in every window.
+    inca_assert(spec.pad < k, "empty pooling window (pad %d, k %d)",
+                spec.pad, k);
     const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2),
                        wd = x.dim(3);
     const std::int64_t oh = convOutDim(h, k, spec);
     const std::int64_t ow = convOutDim(wd, k, spec);
 
     PoolResult res{Tensor({n, c, oh, ow}), Tensor({n, c, oh, ow})};
+    const float *xs = x.data();
+    float *ys = res.output.data();
+    float *as = res.argmax.data();
     parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
+            const float *xp = xs + plane * h * wd;
             for (std::int64_t orow = 0; orow < oh; ++orow) {
+                const std::int64_t r0 = orow * spec.stride - spec.pad;
+                const std::int64_t rBegin = std::max<std::int64_t>(r0, 0);
+                const std::int64_t rEnd = std::min<std::int64_t>(r0 + k, h);
                 for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                    const std::int64_t c0 = ocol * spec.stride - spec.pad;
+                    const std::int64_t cBegin =
+                        std::max<std::int64_t>(c0, 0);
+                    const std::int64_t cEnd =
+                        std::min<std::int64_t>(c0 + k, wd);
+                    // Strict > keeps the first maximum in row-major
+                    // window order on ties.
                     float best = -std::numeric_limits<float>::infinity();
-                    std::int64_t bestIdx = -1;
-                    for (int kr = 0; kr < k; ++kr) {
-                        const std::int64_t ir =
-                            orow * spec.stride + kr - spec.pad;
-                        if (ir < 0 || ir >= h)
-                            continue;
-                        for (int kc = 0; kc < k; ++kc) {
-                            const std::int64_t icl =
-                                ocol * spec.stride + kc - spec.pad;
-                            if (icl < 0 || icl >= wd)
-                                continue;
-                            const float v = x.at(in, ic, ir, icl);
+                    std::int64_t bestIdx = rBegin * wd + cBegin;
+                    for (std::int64_t ir = rBegin; ir < rEnd; ++ir) {
+                        for (std::int64_t icl = cBegin; icl < cEnd; ++icl) {
+                            const float v = xp[ir * wd + icl];
                             if (v > best) {
                                 best = v;
                                 bestIdx = ir * wd + icl;
                             }
                         }
                     }
-                    inca_assert(bestIdx >= 0, "empty pooling window");
-                    res.output.at(in, ic, orow, ocol) = best;
-                    res.argmax.at(in, ic, orow, ocol) = float(bestIdx);
+                    const std::int64_t o = (plane * oh + orow) * ow + ocol;
+                    ys[o] = best;
+                    as[o] = float(bestIdx);
                 }
             }
         }
@@ -789,22 +822,29 @@ maxPool2dGrad(const Tensor &dy, const Tensor &argmax,
     (void)spec;
     inca_assert(dy.shape() == argmax.shape(),
                 "maxPool2dGrad shape mismatch");
+    inca_assert(dy.rank() == 4 && xShape.size() == 4 &&
+                    xShape[0] == dy.dim(0) && xShape[1] == dy.dim(1),
+                "maxPool2dGrad: dy %s does not pool an input of rank %zu",
+                dy.shapeStr().c_str(), xShape.size());
     const std::int64_t n = dy.dim(0), c = dy.dim(1), oh = dy.dim(2),
                        ow = dy.dim(3);
-    const std::int64_t wd = xShape[3];
+    const std::int64_t hw = xShape[2] * xShape[3];
 
     Tensor dx(xShape);
+    const float *dys = dy.data();
+    const float *as = argmax.data();
+    float *dxs = dx.data();
     parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                    const auto flat =
-                        std::int64_t(argmax.at(in, ic, orow, ocol));
-                    dx.at(in, ic, flat / wd, flat % wd) +=
-                        dy.at(in, ic, orow, ocol);
-                }
+            float *dxp = dxs + plane * hw;
+            for (std::int64_t o = plane * oh * ow; o < (plane + 1) * oh * ow;
+                 ++o) {
+                // The argmax is data, not a loop index: keep its check.
+                const float flat = as[o];
+                inca_assert(flat >= 0.0f && flat < float(hw),
+                            "argmax %g outside a %lld-element plane",
+                            double(flat), (long long)hw);
+                dxp[std::int64_t(flat)] += dys[o];
             }
         }
     });

@@ -116,7 +116,8 @@ Tensor matmul(const Tensor &a, const Tensor &b);
 Tensor transpose(const Tensor &a);
 
 /**
- * Unroll convolution windows into rows (im2col).
+ * Unroll convolution windows into rows (im2col). Row (image, orow,
+ * ocol), column (ic, kr, kc); taps in the padding are exact zeros.
  *
  * @return [N * OH * OW, C * KH * KW]
  */

@@ -92,94 +92,6 @@ Tensor::dim(int d) const
     return shape_[size_t(d)];
 }
 
-float &
-Tensor::operator[](std::int64_t i)
-{
-    inca_assert(i >= 0 && i < size(), "flat index %lld out of range",
-                (long long)i);
-    return data_[size_t(i)];
-}
-
-float
-Tensor::operator[](std::int64_t i) const
-{
-    inca_assert(i >= 0 && i < size(), "flat index %lld out of range",
-                (long long)i);
-    return data_[size_t(i)];
-}
-
-std::int64_t
-Tensor::flatIndex(const std::int64_t *idx, int n) const
-{
-    inca_assert(n == rank(), "index arity %d != rank %d", n, rank());
-    std::int64_t flat = 0;
-    for (int d = 0; d < n; ++d) {
-        inca_assert(idx[d] >= 0 && idx[d] < shape_[size_t(d)],
-                    "index %lld out of range for dim %d (size %lld)",
-                    (long long)idx[d], d, (long long)shape_[size_t(d)]);
-        flat += idx[d] * strides_[size_t(d)];
-    }
-    return flat;
-}
-
-float &
-Tensor::at(std::int64_t i0)
-{
-    const std::int64_t idx[] = {i0};
-    return data_[size_t(flatIndex(idx, 1))];
-}
-
-float &
-Tensor::at(std::int64_t i0, std::int64_t i1)
-{
-    const std::int64_t idx[] = {i0, i1};
-    return data_[size_t(flatIndex(idx, 2))];
-}
-
-float &
-Tensor::at(std::int64_t i0, std::int64_t i1, std::int64_t i2)
-{
-    const std::int64_t idx[] = {i0, i1, i2};
-    return data_[size_t(flatIndex(idx, 3))];
-}
-
-float &
-Tensor::at(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-           std::int64_t i3)
-{
-    const std::int64_t idx[] = {i0, i1, i2, i3};
-    return data_[size_t(flatIndex(idx, 4))];
-}
-
-float
-Tensor::at(std::int64_t i0) const
-{
-    const std::int64_t idx[] = {i0};
-    return data_[size_t(flatIndex(idx, 1))];
-}
-
-float
-Tensor::at(std::int64_t i0, std::int64_t i1) const
-{
-    const std::int64_t idx[] = {i0, i1};
-    return data_[size_t(flatIndex(idx, 2))];
-}
-
-float
-Tensor::at(std::int64_t i0, std::int64_t i1, std::int64_t i2) const
-{
-    const std::int64_t idx[] = {i0, i1, i2};
-    return data_[size_t(flatIndex(idx, 3))];
-}
-
-float
-Tensor::at(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-           std::int64_t i3) const
-{
-    const std::int64_t idx[] = {i0, i1, i2, i3};
-    return data_[size_t(flatIndex(idx, 4))];
-}
-
 Tensor
 Tensor::reshaped(std::vector<std::int64_t> shape) const
 {

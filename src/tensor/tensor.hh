@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace inca {
 
 class Rng;
@@ -66,25 +68,50 @@ class Tensor
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
 
+    // The element accessors are inline because the reference loops and
+    // the remaining indexed ops call them once per element. They keep
+    // their bounds checks; hot ops check shapes once and walk data().
+
     /** Flat element access with bounds check. */
-    float &operator[](std::int64_t i);
-    float operator[](std::int64_t i) const;
+    float &operator[](std::int64_t i) { return data_[size_t(checkFlat(i))]; }
+    float operator[](std::int64_t i) const
+    {
+        return data_[size_t(checkFlat(i))];
+    }
 
     /** 1-D indexed access. */
-    float &at(std::int64_t i0);
+    float &at(std::int64_t i0) { return data_[size_t(flatIndex(i0))]; }
     /** 2-D indexed access. */
-    float &at(std::int64_t i0, std::int64_t i1);
+    float &at(std::int64_t i0, std::int64_t i1)
+    {
+        return data_[size_t(flatIndex(i0, i1))];
+    }
     /** 3-D indexed access. */
-    float &at(std::int64_t i0, std::int64_t i1, std::int64_t i2);
+    float &at(std::int64_t i0, std::int64_t i1, std::int64_t i2)
+    {
+        return data_[size_t(flatIndex(i0, i1, i2))];
+    }
     /** 4-D indexed access. */
     float &at(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-              std::int64_t i3);
+              std::int64_t i3)
+    {
+        return data_[size_t(flatIndex(i0, i1, i2, i3))];
+    }
 
-    float at(std::int64_t i0) const;
-    float at(std::int64_t i0, std::int64_t i1) const;
-    float at(std::int64_t i0, std::int64_t i1, std::int64_t i2) const;
+    float at(std::int64_t i0) const { return data_[size_t(flatIndex(i0))]; }
+    float at(std::int64_t i0, std::int64_t i1) const
+    {
+        return data_[size_t(flatIndex(i0, i1))];
+    }
+    float at(std::int64_t i0, std::int64_t i1, std::int64_t i2) const
+    {
+        return data_[size_t(flatIndex(i0, i1, i2))];
+    }
     float at(std::int64_t i0, std::int64_t i1, std::int64_t i2,
-             std::int64_t i3) const;
+             std::int64_t i3) const
+    {
+        return data_[size_t(flatIndex(i0, i1, i2, i3))];
+    }
 
     /** Reinterpret with a new shape of identical element count. */
     Tensor reshaped(std::vector<std::int64_t> shape) const;
@@ -113,7 +140,30 @@ class Tensor
     std::string shapeStr() const;
 
   private:
-    std::int64_t flatIndex(const std::int64_t *idx, int n) const;
+    std::int64_t checkFlat(std::int64_t i) const
+    {
+        inca_assert(i >= 0 && i < size(), "flat index %lld out of range",
+                    (long long)i);
+        return i;
+    }
+
+    /** Row-major offset of a full index tuple, each index checked. */
+    template <typename... Idx>
+    std::int64_t flatIndex(Idx... idx) const
+    {
+        constexpr int n = int(sizeof...(Idx));
+        inca_assert(n == rank(), "index arity %d != rank %d", n, rank());
+        std::int64_t flat = 0;
+        size_t d = 0;
+        for (const std::int64_t i : {std::int64_t(idx)...}) {
+            inca_assert(i >= 0 && i < shape_[d],
+                        "index %lld out of range for dim %d (size %lld)",
+                        (long long)i, int(d), (long long)shape_[d]);
+            flat += i * strides_[d];
+            ++d;
+        }
+        return flat;
+    }
 
     std::vector<std::int64_t> shape_;
     std::vector<std::int64_t> strides_;

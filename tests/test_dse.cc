@@ -28,6 +28,7 @@
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
 #include "sim/export.hh"
+#include "test_fixtures.hh"
 
 namespace inca {
 namespace dse {
@@ -429,8 +430,7 @@ TEST(Journal, EvalLineRoundTrips)
     e.criticalShare = 0.99726432101234567;
     e.objectives = {0.0841234567890123456, 3.8e-2};
 
-    const std::string dir = ::testing::TempDir();
-    const std::string path = dir + "/dse_roundtrip.jsonl";
+    const std::string path = testing::tempPath("dse_roundtrip.jsonl");
     JournalHeader header;
     header.signature = "sig";
     header.spaceSize = 42;
@@ -478,8 +478,7 @@ TEST(Journal, LinesAreValidJson)
 
 TEST(Journal, TornTailTolerated)
 {
-    const std::string path =
-        ::testing::TempDir() + "/dse_torn.jsonl";
+    const std::string path = testing::tempPath("dse_torn.jsonl");
     JournalHeader header;
     header.signature = "sig";
     header.spaceSize = 2;
@@ -504,7 +503,7 @@ TEST(Journal, MissingFileReturnsFalse)
 {
     JournalContents contents;
     EXPECT_FALSE(readJournal(
-        ::testing::TempDir() + "/does_not_exist.jsonl", contents));
+        testing::tempPath("does_not_exist.jsonl"), contents));
 }
 
 // ---------------------------------------------------------------
@@ -584,9 +583,8 @@ TEST(Explorer, BudgetBoundsEvaluations)
 
 TEST(Explorer, ResumeMatchesUninterrupted)
 {
-    const std::string dir = ::testing::TempDir();
-    const std::string full = dir + "/dse_full.jsonl";
-    const std::string torn = dir + "/dse_torn_run.jsonl";
+    const std::string full = testing::tempPath("dse_full.jsonl");
+    const std::string torn = testing::tempPath("dse_torn_run.jsonl");
 
     ExploreOptions opt = explorerOptions();
     opt.journalPath = full;
@@ -632,8 +630,7 @@ TEST(Explorer, ResumeMatchesUninterrupted)
 
 TEST(ExplorerDeath, ForeignJournalIsFatal)
 {
-    const std::string path =
-        ::testing::TempDir() + "/dse_foreign.jsonl";
+    const std::string path = testing::tempPath("dse_foreign.jsonl");
     {
         ExploreOptions opt = explorerOptions();
         opt.journalPath = path;
@@ -723,9 +720,8 @@ TEST(Explorer, RevisitedCandidatesAreEvaluatedOnce)
     // Resume from a journal cut after 10 proposals: every proposal of
     // a journaled index is a replay (revisits too), the rest are
     // scored or filtered exactly as in the uninterrupted run.
-    const std::string dir = ::testing::TempDir();
-    const std::string full = dir + "/dse_memo_full.jsonl";
-    const std::string cut = dir + "/dse_memo_cut.jsonl";
+    const std::string full = testing::tempPath("dse_memo_full.jsonl");
+    const std::string cut = testing::tempPath("dse_memo_cut.jsonl");
     ExploreOptions journaled = opt;
     journaled.journalPath = full;
     Explorer uninterrupted(space, journaled);
@@ -815,8 +811,7 @@ TEST(Explorer, ExportFrontierRunsWritesEngineReports)
                 std::string(engineKindName(engine)) +
                 (phase == arch::Phase::Training ? "_train" : "_infer");
             SCOPED_TRACE(tag);
-            const fs::path root =
-                fs::path(::testing::TempDir()) / ("dse_export_" + tag);
+            const fs::path root = testing::tempPath("dse_export_" + tag);
             fs::remove_all(root);
             const fs::path fresh = root / "fresh";
             const fs::path resumed = root / "resumed";

@@ -14,7 +14,11 @@
 #ifndef INCA_TESTS_TEST_FIXTURES_HH
 #define INCA_TESTS_TEST_FIXTURES_HH
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arch/config.hh"
@@ -161,6 +165,22 @@ struct SeededMacroPair
             k = int(rng.below(255)) - 127;
     }
 };
+
+// -------------------------------------------------------------------
+// Scratch files.
+
+/**
+ * Path of the scratch file (or directory) @p name under gtest's temp
+ * directory, prefixed with this process's id: two processes of one
+ * test binary running at once (a parallel or repeated suite run) must
+ * never share, and so delete, each other's files.
+ */
+inline std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "inca_" + std::to_string(::getpid()) +
+           "_" + name;
+}
 
 } // namespace testing
 } // namespace inca

@@ -9,7 +9,9 @@
  * scalar loops, so the results must match conv2dNaive() and the
  * *GradNaive() references bit-for-bit (0 ULP) at every thread count.
  * These tests sweep ~20 randomized shapes -- odd strides, asymmetric
- * kernels, heavy padding, batch 1 and 7 -- at 1, 2 and 8 lanes.
+ * kernels, heavy padding, batch 1 and 7 -- at 1, 2 and 8 lanes. The
+ * interval im2col packer and the raw-pointer max-pool loops are held
+ * to the same 0-ULP standard against per-element references.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +149,123 @@ TEST_F(ParallelOps, WeightGradMatchesNaiveExactly)
             ThreadPool::setGlobalThreads(threads);
             EXPECT_TRUE(
                 conv2dWeightGrad(dy, x, w.shape(), spec).equals(ref));
+        }
+    }
+}
+
+/**
+ * im2col is the packer conv2dWeightGrad multiplies through; its
+ * interval packing must place every tap, and leave every padded tap
+ * an exact zero, where the per-element definition does.
+ */
+TEST_F(ParallelOps, Im2colMatchesNaiveExactly)
+{
+    for (const auto &cs : kCases) {
+        SCOPED_TRACE(cs.label());
+        Rng rng(6000 + cs.c + 11 * cs.h + cs.kw);
+        const Tensor x = Tensor::randn({cs.n, cs.c, cs.h, cs.w}, rng);
+        const ConvSpec spec{cs.stride, cs.pad};
+        const std::int64_t oh = convOutDim(cs.h, cs.kh, spec);
+        const std::int64_t ow = convOutDim(cs.w, cs.kw, spec);
+        const std::int64_t depth = cs.c * cs.kh * cs.kw;
+
+        Tensor ref({cs.n * oh * ow, depth});
+        for (std::int64_t in = 0; in < cs.n; ++in)
+            for (std::int64_t orow = 0; orow < oh; ++orow)
+                for (std::int64_t ocol = 0; ocol < ow; ++ocol)
+                    for (std::int64_t ic = 0; ic < cs.c; ++ic)
+                        for (std::int64_t kr = 0; kr < cs.kh; ++kr)
+                            for (std::int64_t kc = 0; kc < cs.kw; ++kc) {
+                                const std::int64_t ir =
+                                    orow * cs.stride + kr - cs.pad;
+                                const std::int64_t icl =
+                                    ocol * cs.stride + kc - cs.pad;
+                                const bool inside = ir >= 0 &&
+                                                    ir < cs.h &&
+                                                    icl >= 0 && icl < cs.w;
+                                ref.at((in * oh + orow) * ow + ocol,
+                                       (ic * cs.kh + kr) * cs.kw + kc) =
+                                    inside ? x.at(in, ic, ir, icl) : 0.0f;
+                            }
+        for (int threads : kThreadCounts) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            ThreadPool::setGlobalThreads(threads);
+            EXPECT_TRUE(im2col(x, cs.kh, cs.kw, spec).equals(ref));
+        }
+    }
+}
+
+/**
+ * Max pooling against the per-element definition: the first maximum
+ * in row-major window order wins ties, and the gradient routes to
+ * exactly that input. The input is drawn from a handful of levels so
+ * most windows hold tied maxima.
+ */
+TEST_F(ParallelOps, MaxPoolMatchesNaiveExactly)
+{
+    struct PoolCase
+    {
+        std::int64_t n, c, h, w;
+        int k, stride, pad;
+    };
+    const std::vector<PoolCase> cases = {
+        {1, 1, 4, 4, 2, 2, 0},  {7, 3, 9, 7, 3, 2, 1},
+        {2, 4, 12, 12, 2, 2, 0}, {3, 2, 8, 11, 3, 1, 1},
+        {1, 5, 10, 10, 4, 3, 2}, {7, 1, 5, 5, 5, 1, 2},
+    };
+    for (const auto &pc : cases) {
+        const ConvSpec spec{pc.stride, pc.pad};
+        SCOPED_TRACE("n" + std::to_string(pc.n) + "c" +
+                     std::to_string(pc.c) + "_" + std::to_string(pc.h) +
+                     "x" + std::to_string(pc.w) + "_k" +
+                     std::to_string(pc.k) + "s" +
+                     std::to_string(pc.stride) + "p" +
+                     std::to_string(pc.pad));
+        Rng rng(7000 + pc.h * 13 + pc.k);
+        Tensor x({pc.n, pc.c, pc.h, pc.w});
+        for (std::int64_t i = 0; i < x.size(); ++i)
+            x[i] = float(rng.below(4)) - 1.5f;
+        const std::int64_t oh = convOutDim(pc.h, pc.k, spec);
+        const std::int64_t ow = convOutDim(pc.w, pc.k, spec);
+        const Tensor dy = Tensor::randn({pc.n, pc.c, oh, ow}, rng);
+
+        Tensor refOut({pc.n, pc.c, oh, ow}), refArg({pc.n, pc.c, oh, ow});
+        Tensor refDx(x.shape());
+        for (std::int64_t in = 0; in < pc.n; ++in)
+            for (std::int64_t ic = 0; ic < pc.c; ++ic)
+                for (std::int64_t orow = 0; orow < oh; ++orow)
+                    for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                        float best = -1e30f;
+                        std::int64_t br = -1, bc = -1;
+                        for (int kr = 0; kr < pc.k; ++kr)
+                            for (int kc = 0; kc < pc.k; ++kc) {
+                                const std::int64_t ir =
+                                    orow * pc.stride + kr - pc.pad;
+                                const std::int64_t icl =
+                                    ocol * pc.stride + kc - pc.pad;
+                                if (ir < 0 || ir >= pc.h || icl < 0 ||
+                                    icl >= pc.w)
+                                    continue;
+                                if (x.at(in, ic, ir, icl) > best) {
+                                    best = x.at(in, ic, ir, icl);
+                                    br = ir;
+                                    bc = icl;
+                                }
+                            }
+                        ASSERT_GE(br, 0);
+                        refOut.at(in, ic, orow, ocol) = best;
+                        refArg.at(in, ic, orow, ocol) =
+                            float(br * pc.w + bc);
+                        refDx.at(in, ic, br, bc) += dy.at(in, ic, orow, ocol);
+                    }
+        for (int threads : kThreadCounts) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            ThreadPool::setGlobalThreads(threads);
+            const PoolResult res = maxPool2d(x, pc.k, spec);
+            EXPECT_TRUE(res.output.equals(refOut));
+            EXPECT_TRUE(res.argmax.equals(refArg));
+            EXPECT_TRUE(maxPool2dGrad(dy, res.argmax, x.shape(), pc.k, spec)
+                            .equals(refDx));
         }
     }
 }

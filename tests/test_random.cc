@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 
 namespace inca {
 namespace {
@@ -101,6 +105,57 @@ TEST(Random, GaussianShifted)
     for (int i = 0; i < n; ++i)
         sum += rng.gaussian(5.0, 0.5);
     EXPECT_NEAR(sum / n, 5.0, 0.03);
+}
+
+/** Bit pattern of a double, so -0.0 and NaN compare exactly. */
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/**
+ * fillGaussian() is n sequential gaussian() calls, bit for bit, with
+ * the pending spare consumed on entry and carried out on exit -- at
+ * every count (empty, odd, even, across the chunk boundary) and at
+ * every pool size.
+ */
+TEST(Random, FillGaussianMatchesSequential)
+{
+    const std::vector<std::size_t> counts = {0,    1,    2,    3,
+                                             7,    4096, 4097, 40321};
+    for (int threads : {1, 2, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (std::size_t count : counts) {
+            for (bool pendingSpare : {false, true}) {
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " count=" + std::to_string(count) +
+                             " pendingSpare=" +
+                             std::to_string(pendingSpare));
+                Rng batched(23 + count), sequential(23 + count);
+                if (pendingSpare) {
+                    EXPECT_EQ(bits(batched.gaussian()),
+                              bits(sequential.gaussian()));
+                }
+                std::vector<double> out(count);
+                batched.fillGaussian(out.data(), count);
+                for (std::size_t i = 0; i < count; ++i) {
+                    ASSERT_EQ(bits(out[i]), bits(sequential.gaussian()))
+                        << "value " << i;
+                }
+                // The carried spare (or its absence) shows in what
+                // follows.
+                for (int i = 0; i < 5; ++i) {
+                    EXPECT_EQ(bits(batched.gaussian()),
+                              bits(sequential.gaussian()))
+                        << "follow-up " << i;
+                }
+            }
+        }
+    }
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(RandomDeath, BelowZeroPanics)

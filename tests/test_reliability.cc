@@ -24,6 +24,7 @@
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
 #include "reliability/campaign.hh"
+#include "test_fixtures.hh"
 
 namespace inca {
 namespace reliability {
@@ -594,7 +595,7 @@ TEST(ResilienceJournal, ResilienceSurvivesTheRoundTrip)
     EXPECT_TRUE(testutil::JsonLint(line).valid());
 
     const std::string path =
-        ::testing::TempDir() + "/reliability_journal.jsonl";
+        testing::tempPath("reliability_journal.jsonl");
     dse::JournalHeader header;
     header.signature = "test";
     dse::JournalWriter writer;
