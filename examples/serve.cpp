@@ -18,11 +18,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/trace.hh"
 #include "examples/cli.hh"
 #include "serving/export.hh"
 #include "serving/simulator.hh"
@@ -72,6 +74,24 @@ usage(const char *argv0)
         "  --csv <path>            write the per-request CSV\n"
         "  --timeline-csv <path>   write the queue-depth timeline\n",
         argv0);
+}
+
+/** Open @p path for a streamed export; fatal when it cannot be. */
+void
+openOutput(std::ofstream &out, const std::string &path)
+{
+    out.open(path);
+    if (!out)
+        inca::fatal("cannot write '%s'", path.c_str());
+}
+
+/** Flush a streamed export; fatal when any write failed. */
+void
+closeOutput(std::ofstream &out, const std::string &path)
+{
+    out.close();
+    if (!out)
+        inca::fatal("error writing '%s'", path.c_str());
 }
 
 inca::serving::ShardSpec
@@ -250,11 +270,28 @@ main(int argc, char **argv)
         streams.push_back(serving::StreamSpec{network, 1.0, 0});
     spec.streams = std::move(streams);
 
+    // The queue-depth timeline is never stored: it streams to its
+    // file and the trace while the simulation runs.
+    std::ofstream timelineOut;
+    serving::DepthObserver onDepth;
+    if (!timelinePath.empty()) {
+        openOutput(timelineOut, timelinePath);
+        onDepth = [toCsv = serving::timelineCsv(timelineOut)](
+                      Seconds t, std::uint64_t depth) {
+            toCsv(t, depth);
+            serving::traceDepth(t, depth);
+        };
+    } else if (trace::enabled()) {
+        onDepth = serving::traceDepth;
+    }
+
     serving::ServingReport report;
     {
         sim::ScopedPhaseTimer timer("serve");
-        report = serving::simulate(spec);
+        report = serving::simulate(spec, onDepth);
     }
+    if (!timelinePath.empty())
+        closeOutput(timelineOut, timelinePath);
 
     std::fputs(serving::reportText(report).c_str(), stdout);
     serving::publishMetrics(report);
@@ -262,10 +299,12 @@ main(int argc, char **argv)
 
     if (!jsonPath.empty())
         sim::writeFile(jsonPath, serving::reportJson(report));
-    if (!csvPath.empty())
-        sim::writeFile(csvPath, serving::requestsCsv(report));
-    if (!timelinePath.empty())
-        sim::writeFile(timelinePath, serving::timelineCsv(report));
+    if (!csvPath.empty()) {
+        std::ofstream csv;
+        openOutput(csv, csvPath);
+        serving::requestsCsv(csv, report);
+        closeOutput(csv, csvPath);
+    }
 
     sim::printPhaseTimes();
     return 0;

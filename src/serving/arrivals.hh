@@ -10,7 +10,9 @@
  * is a pure function of (spec, duration): the ascending arrival trace
  * is drawn up front from one SplitMix64 stream, so two runs with the
  * same spec are bit-identical at any thread count. The simulator
- * reads the trace through cursors -- arrivals, batch-timeout ticks
+ * copies the trace into its per-request records and frees the
+ * vector before its event loop starts; the loop reads arrival times
+ * from the records through cursors -- arrivals, batch-timeout ticks
  * and deadlines are the trace plus a constant, so each family is
  * already in time order and never enters its event heap.
  */

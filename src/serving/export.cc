@@ -217,7 +217,7 @@ reportJson(const ServingReport &rep)
     os << "  \"queue\": {\"mean_depth\": "
        << num17(rep.meanQueueDepth)
        << ", \"max_depth\": " << rep.maxQueueDepth
-       << ", \"timeline_points\": " << rep.queueTimeline.size()
+       << ", \"timeline_points\": " << rep.timelinePoints
        << "},\n";
     os << "  \"batches\": {\"count\": " << rep.batches
        << ", \"mean_size\": " << num17(rep.meanBatchSize) << "},\n";
@@ -308,11 +308,10 @@ reportJson(const ServingReport &rep)
     return os.str();
 }
 
-std::string
-requestsCsv(const ServingReport &rep)
+void
+requestsCsv(std::ostream &os, const ServingReport &rep)
 {
     const bool chaos = chaosEnabled(rep.spec);
-    std::ostringstream os;
     os << "id,stream,network,arrival_s,dispatch_s,completion_s,"
           "latency_s,wait_s,server,batch_size";
     if (chaos)
@@ -332,17 +331,23 @@ requestsCsv(const ServingReport &rep)
                << num17(r.queuedS);
         os << "\n";
     }
-    return os.str();
 }
 
 std::string
-timelineCsv(const ServingReport &rep)
+requestsCsv(const ServingReport &rep)
 {
     std::ostringstream os;
-    os << "time_s,queue_depth\n";
-    for (const auto &point : rep.queueTimeline)
-        os << num17(point.first) << "," << point.second << "\n";
+    requestsCsv(os, rep);
     return os.str();
+}
+
+DepthObserver
+timelineCsv(std::ostream &os)
+{
+    os << "time_s,queue_depth\n";
+    return [&os](Seconds t, std::uint64_t depth) {
+        os << num17(t) << "," << depth << "\n";
+    };
 }
 
 void
@@ -385,14 +390,19 @@ publishMetrics(const ServingReport &rep)
 }
 
 void
+traceDepth(Seconds t, std::uint64_t depth)
+{
+    if (!trace::enabled())
+        return;
+    trace::counterAt("serving.queue_depth", std::int64_t(t * 1e6),
+                     double(depth));
+}
+
+void
 emitTrace(const ServingReport &rep)
 {
     if (!trace::enabled())
         return;
-    for (const auto &point : rep.queueTimeline)
-        trace::counterAt("serving.queue_depth",
-                         std::int64_t(point.first * 1e6),
-                         double(point.second));
     trace::emitInstant("serving.makespan",
                        std::int64_t(rep.makespanS * 1e6));
 }

@@ -15,6 +15,7 @@
 #ifndef INCA_SERVING_EXPORT_HH
 #define INCA_SERVING_EXPORT_HH
 
+#include <ostream>
 #include <string>
 
 #include "serving/simulator.hh"
@@ -28,11 +29,21 @@ std::string reportText(const ServingReport &rep);
 /** Strict JSON report with the provenance manifest. */
 std::string reportJson(const ServingReport &rep);
 
-/** Per-request table: one RFC-4180 row per completed request. */
+/**
+ * Per-request table: one RFC-4180 row per offered request, written
+ * row by row to @p os so a file export never holds the whole table.
+ */
+void requestsCsv(std::ostream &os, const ServingReport &rep);
+
+/** requestsCsv into a string (small reports and tests). */
 std::string requestsCsv(const ServingReport &rep);
 
-/** Queue-depth timeline: one row per depth change. */
-std::string timelineCsv(const ServingReport &rep);
+/**
+ * Queue-depth timeline CSV, streamed: writes the header to @p os now
+ * and returns the observer that appends one row per depth change.
+ * Pass it to simulate(); @p os must outlive the run.
+ */
+DepthObserver timelineCsv(std::ostream &os);
 
 /**
  * Publish the report to the metrics registry (serving.* gauges) and
@@ -43,9 +54,13 @@ std::string timelineCsv(const ServingReport &rep);
 void publishMetrics(const ServingReport &rep);
 
 /**
- * Replay the queue-depth timeline as a trace counter series at
- * simulated time (INCA_TRACE consumers). No-op when tracing is off.
+ * Depth observer that replays the queue-depth timeline as the
+ * serving.queue_depth trace counter at simulated time (INCA_TRACE
+ * consumers). No-op when tracing is off.
  */
+void traceDepth(Seconds t, std::uint64_t depth);
+
+/** Mark the run's makespan on the trace. No-op when tracing is off. */
 void emitTrace(const ServingReport &rep);
 
 } // namespace serving

@@ -80,16 +80,28 @@ struct Leg
     bool dead = false; ///< killed by a fail-stop before completing
 };
 
-/** A dispatched batch; hedged batches carry two legs. */
+/**
+ * A dispatched batch, held in a pool slot from dispatch until its
+ * last leg's completion event (a killed leg's included) has fired;
+ * hedged batches carry two legs.
+ */
 struct Batch
 {
-    std::uint64_t begin = 0, end = 0; ///< its ids in the request arena
+    std::vector<std::uint64_t> ids; ///< its requests, in queue order
     Leg legs[2];
     int stream = 0;
     std::uint8_t legCount = 0;
+    std::uint8_t pending = 0; ///< legs whose completion has not fired
     bool done = false; ///< first surviving leg finalized it
 
     std::span<Leg> dispatched() { return {legs, legCount}; }
+};
+
+/** A queued request and when it (re-)entered its stream queue. */
+struct QueueEntry
+{
+    std::uint64_t id = 0;
+    Seconds entryS = 0.0;
 };
 
 /** Where a request currently is (internal to the event loop). */
@@ -182,38 +194,41 @@ exactPercentile(std::vector<double> samples, double q)
 }
 
 ServingReport
-simulate(const ServingSpec &spec)
+simulate(const ServingSpec &spec, const DepthObserver &onDepth)
 {
     validateSpec(spec);
     ServingReport rep;
     rep.spec = spec;
 
     // ---- Arrival trace + stream assignment (both seeded). --------
-    const std::vector<Seconds> arrivals =
-        generateArrivals(spec.arrivals, spec.durationS);
-    rep.offered = arrivals.size();
-    rep.offeredRatePerS = double(arrivals.size()) / spec.durationS;
-
-    double totalWeight = 0.0;
-    for (const StreamSpec &s : spec.streams)
-        totalWeight += s.weight;
-    SplitMix64 assign(spec.arrivals.seed ^ 0x53545245414d53ULL);
-    rep.requests.resize(arrivals.size());
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        RequestRecord &r = rep.requests[i];
-        r.id = i;
-        r.arrivalS = arrivals[i];
-        double u = assign.uniform() * totalWeight;
-        int stream = 0;
-        for (std::size_t s = 0; s < spec.streams.size(); ++s) {
-            u -= spec.streams[s].weight;
-            if (u < 0.0) {
-                stream = int(s);
-                break;
+    // The records keep the only copy of the trace: the generated
+    // vector dies with this block.
+    {
+        const std::vector<Seconds> arrivals =
+            generateArrivals(spec.arrivals, spec.durationS);
+        double totalWeight = 0.0;
+        for (const StreamSpec &s : spec.streams)
+            totalWeight += s.weight;
+        SplitMix64 assign(spec.arrivals.seed ^ 0x53545245414d53ULL);
+        rep.requests.resize(arrivals.size());
+        for (std::size_t i = 0; i < arrivals.size(); ++i) {
+            RequestRecord &r = rep.requests[i];
+            r.id = i;
+            r.arrivalS = arrivals[i];
+            double u = assign.uniform() * totalWeight;
+            int stream = 0;
+            for (std::size_t s = 0; s < spec.streams.size(); ++s) {
+                u -= spec.streams[s].weight;
+                if (u < 0.0) {
+                    stream = int(s);
+                    break;
+                }
             }
+            r.stream = stream;
         }
-        r.stream = stream;
     }
+    rep.offered = rep.requests.size();
+    rep.offeredRatePerS = double(rep.offered) / spec.durationS;
 
     // ---- Cost table: the only parallel phase. --------------------
     // One slot per (stream, batch size); each slot is a pure
@@ -258,7 +273,10 @@ simulate(const ServingSpec &spec)
     // a revived request past its tick is dispatchable at the next
     // opportunity and no per-episode tick is ever needed.
     const bool failuresOn = spec.failures.enabled;
-    const std::uint64_t n = arrivals.size();
+    const std::uint64_t n = rep.requests.size();
+    const auto arrivalOf = [&](std::uint64_t id) {
+        return rep.requests[id].arrivalS;
+    };
     std::uint64_t nextArrival = 0, nextTimeout = 0;
     std::uint64_t nextDeadline = spec.deadlineS > 0.0 ? 0 : n;
     std::uint64_t seq = spec.deadlineS > 0.0 ? 3 * n : 2 * n;
@@ -275,15 +293,15 @@ simulate(const ServingSpec &spec)
             }
         };
         if (nextArrival < n)
-            offer(Ev{arrivals[nextArrival], kEvArrival, 2 * nextArrival,
+            offer(Ev{arrivalOf(nextArrival), kEvArrival, 2 * nextArrival,
                      nextArrival},
                   &nextArrival);
         if (nextTimeout < n)
-            offer(Ev{arrivals[nextTimeout] + spec.batch.timeoutS,
+            offer(Ev{arrivalOf(nextTimeout) + spec.batch.timeoutS,
                      kEvTimeout, 2 * nextTimeout + 1, nextTimeout},
                   &nextTimeout);
         if (nextDeadline < n)
-            offer(Ev{arrivals[nextDeadline] + spec.deadlineS,
+            offer(Ev{arrivalOf(nextDeadline) + spec.deadlineS,
                      kEvDeadline, 2 * n + nextDeadline, nextDeadline},
                   &nextDeadline);
         if (!events.empty())
@@ -295,8 +313,7 @@ simulate(const ServingSpec &spec)
         return found;
     };
 
-    std::vector<std::deque<std::uint64_t>> queues(
-        spec.streams.size());
+    std::vector<std::deque<QueueEntry>> queues(spec.streams.size());
     std::vector<Server> servers(std::size_t(spec.replicas));
     rep.streamStats.resize(spec.streams.size());
 
@@ -306,16 +323,33 @@ simulate(const ServingSpec &spec)
 
     // Per-request loop state, parallel to rep.requests.
     std::vector<RState> state(rep.requests.size(), RState::Backoff);
-    std::vector<Seconds> entryS(rep.requests.size(), 0.0);
     std::uint64_t unresolved = rep.requests.size();
 
-    std::vector<Batch> batches;
-    // Request ids of every dispatched batch, back to back.
-    std::vector<std::uint64_t> batchReqs;
-    batchReqs.reserve(n);
-    const auto reqsOf = [&](const Batch &b) {
-        return std::span<const std::uint64_t>(batchReqs).subspan(
-            b.begin, b.end - b.begin);
+    // Live batches only: a slot returns to the free list when its
+    // last leg's completion fires, so the pool is O(in-flight).
+    std::vector<Batch> slots;
+    std::vector<std::uint64_t> freeSlots;
+    const auto allocSlot = [&]() -> std::uint64_t {
+        if (freeSlots.empty()) {
+            slots.emplace_back();
+            return slots.size() - 1;
+        }
+        const std::uint64_t slot = freeSlots.back();
+        freeSlots.pop_back();
+        return slot;
+    };
+    // One leg of @p slot has completed (or was killed and its
+    // completion event has now fired).
+    const auto retireLeg = [&](std::uint64_t slot) {
+        Batch &b = slots[slot];
+        inca_assert(b.pending > 0, "batch slot %llu freed twice",
+                    static_cast<unsigned long long>(slot));
+        if (--b.pending > 0)
+            return;
+        b.ids.clear(); // keeps its capacity for the next batch
+        b.legCount = 0;
+        b.done = false;
+        freeSlots.push_back(slot);
     };
 
     // Per-server failure streams: independent by construction, so a
@@ -335,21 +369,20 @@ simulate(const ServingSpec &spec)
     }
 
     std::uint64_t waiting = 0;
-    // Without chaos the depth changes once per admission and once per
-    // dispatch, so this bound spares the doubling copies (and their
-    // transient peak) of the report's largest vector.
-    rep.queueTimeline.reserve(2 * n);
     Seconds lastTimelineT = 0.0;
     double depthIntegral = 0.0;
     // Integrate the piecewise-constant depth up to @p t BEFORE a
-    // change, then record the new level after it.
+    // change, then report the new level after it. The timeline
+    // itself is streamed to the observer, never stored.
     const auto advanceDepth = [&](Seconds t) {
         depthIntegral += double(waiting) * (t - lastTimelineT);
         lastTimelineT = t;
     };
     const auto noteDepth = [&](Seconds t) {
-        rep.queueTimeline.push_back({t, waiting});
+        ++rep.timelinePoints;
         rep.maxQueueDepth = std::max(rep.maxQueueDepth, waiting);
+        if (onDepth)
+            onDepth(t, waiting);
     };
 
     // The single terminal transition: records the outcome exactly
@@ -424,8 +457,7 @@ simulate(const ServingSpec &spec)
             }
         }
         state[id] = RState::Queued;
-        entryS[id] = now;
-        q.push_back(id);
+        q.push_back(QueueEntry{id, now});
         advanceDepth(now);
         ++waiting;
         noteDepth(now);
@@ -442,13 +474,12 @@ simulate(const ServingSpec &spec)
             return false;
         if (q.size() >= std::size_t(maxBatch))
             return true;
-        return now >= rep.requests[q.front()].arrivalS +
-                          spec.batch.timeoutS;
+        return now >= arrivalOf(q.front().id) + spec.batch.timeoutS;
     };
     // Dispatch one leg of @p b on @p srv; returns its completion.
     const auto dispatchLeg = [&](Batch &b, int srv, Seconds now) {
         Server &server = servers[std::size_t(srv)];
-        const BatchCost &cost = costOf(b.stream, int(b.end - b.begin));
+        const BatchCost &cost = costOf(b.stream, int(b.ids.size()));
         Seconds latency = cost.latencyS;
         Seconds interval = cost.intervalS;
         if (server.health == Health::Degraded) {
@@ -463,7 +494,7 @@ simulate(const ServingSpec &spec)
         server.readyAtS = now + interval;
         server.stats.busyS += interval;
         server.stats.batches += 1;
-        server.stats.requests += b.end - b.begin;
+        server.stats.requests += b.ids.size();
         events.push(Ev{server.readyAtS, kEvServerReady, seq++,
                        std::uint64_t(srv)});
         rep.dynamicEnergyJ += cost.energyJ;
@@ -495,11 +526,9 @@ simulate(const ServingSpec &spec)
                 const StreamSpec &a = spec.streams[s];
                 const StreamSpec &b =
                     spec.streams[std::size_t(best)];
-                const Seconds headA =
-                    rep.requests[queues[s].front()].arrivalS;
+                const Seconds headA = arrivalOf(queues[s].front().id);
                 const Seconds headB =
-                    rep.requests[queues[std::size_t(best)].front()]
-                        .arrivalS;
+                    arrivalOf(queues[std::size_t(best)].front().id);
                 if (a.priority < b.priority ||
                     (a.priority == b.priority && headA < headB))
                     best = int(s);
@@ -510,36 +539,32 @@ simulate(const ServingSpec &spec)
             const int batch =
                 int(std::min<std::size_t>(q.size(),
                                           std::size_t(maxBatch)));
-            const std::uint64_t batchId = batches.size();
             // Hedge once the head has waited past the delay and a
             // second idle healthy server exists: the same batch runs
             // on both, the first surviving completion wins.
             const bool wantHedge =
                 spec.hedgeDelayS > 0.0 &&
-                now - entryS[q.front()] >= spec.hedgeDelayS;
-            Batch b;
-            b.stream = best;
-            b.begin = batchReqs.size();
-            b.end = b.begin + std::uint64_t(batch);
+                now - q.front().entryS >= spec.hedgeDelayS;
+            const std::uint64_t slot = allocSlot();
+            Batch &placed = slots[slot];
+            placed.stream = best;
             for (int i = 0; i < batch; ++i) {
-                const std::uint64_t id = q.front();
+                const QueueEntry e = q.front();
                 q.pop_front();
-                batchReqs.push_back(id);
-                RequestRecord &r = rep.requests[id];
+                placed.ids.push_back(e.id);
+                RequestRecord &r = rep.requests[e.id];
                 r.server = srv;
                 r.batchSize = batch;
                 r.dispatchS = now;
-                r.queuedS += now - entryS[id];
-                state[id] = RState::InFlight;
+                r.queuedS += now - e.entryS;
+                state[e.id] = RState::InFlight;
             }
-            batches.push_back(b);
-            Batch &placed = batches.back();
             const Seconds completion =
                 dispatchLeg(placed, srv, now);
             placed.legs[placed.legCount++] = Leg{completion, srv, false};
-            servers[std::size_t(srv)].inflight.push_back(batchId);
-            events.push(Ev{completion, kEvCompletion, seq++,
-                           batchId * 2});
+            ++placed.pending;
+            servers[std::size_t(srv)].inflight.push_back(slot);
+            events.push(Ev{completion, kEvCompletion, seq++, slot * 2});
             if (wantHedge) {
                 int srv2 = -1;
                 for (std::size_t i = 0; i < servers.size(); ++i) {
@@ -555,12 +580,12 @@ simulate(const ServingSpec &spec)
                         dispatchLeg(placed, srv2, now);
                     placed.legs[placed.legCount++] =
                         Leg{completion2, srv2, false};
-                    servers[std::size_t(srv2)].inflight.push_back(
-                        batchId);
+                    ++placed.pending;
+                    servers[std::size_t(srv2)].inflight.push_back(slot);
                     events.push(Ev{completion2, kEvCompletion,
-                                   seq++, batchId * 2 + 1});
+                                   seq++, slot * 2 + 1});
                     ++rep.hedges;
-                    for (const std::uint64_t id : reqsOf(placed))
+                    for (const std::uint64_t id : placed.ids)
                         rep.requests[id].hedged = true;
                 }
             }
@@ -573,8 +598,8 @@ simulate(const ServingSpec &spec)
     };
 
     // First surviving leg to complete finalizes the batch.
-    const auto finalizeLeg = [&](std::uint64_t batchId, int legIdx) {
-        Batch &b = batches[batchId];
+    const auto finalizeLeg = [&](std::uint64_t slot, int legIdx) {
+        Batch &b = slots[slot];
         if (b.done)
             return;
         const Leg &leg = b.legs[legIdx];
@@ -585,9 +610,9 @@ simulate(const ServingSpec &spec)
             if (l.dead)
                 continue;
             auto &fl = servers[std::size_t(l.server)].inflight;
-            fl.erase(std::find(fl.begin(), fl.end(), batchId));
+            fl.erase(std::find(fl.begin(), fl.end(), slot));
         }
-        for (const std::uint64_t id : reqsOf(b)) {
+        for (const std::uint64_t id : b.ids) {
             RequestRecord &r = rep.requests[id];
             r.server = leg.server;
             r.completionS = leg.completionS;
@@ -608,8 +633,8 @@ simulate(const ServingSpec &spec)
         std::vector<std::uint64_t> revived;
         const std::vector<std::uint64_t> live = s.inflight;
         s.inflight.clear();
-        for (const std::uint64_t batchId : live) {
-            Batch &b = batches[batchId];
+        for (const std::uint64_t slot : live) {
+            Batch &b = slots[slot];
             bool anyAlive = false;
             for (Leg &l : b.dispatched()) {
                 if (l.dead)
@@ -624,7 +649,7 @@ simulate(const ServingSpec &spec)
             }
             if (anyAlive || b.done)
                 continue;
-            for (const std::uint64_t id : reqsOf(b)) {
+            for (const std::uint64_t id : b.ids) {
                 RequestRecord &r = rep.requests[id];
                 if (spec.failures.dropInFlight) {
                     retryOrFail(id, now, RequestOutcome::Failed);
@@ -641,9 +666,8 @@ simulate(const ServingSpec &spec)
         for (std::size_t i = revived.size(); i-- > 0;) {
             const std::uint64_t id = revived[i];
             state[id] = RState::Queued;
-            entryS[id] = now;
             queues[std::size_t(rep.requests[id].stream)].push_front(
-                id);
+                QueueEntry{id, now});
         }
         if (!revived.empty()) {
             advanceDepth(now);
@@ -679,6 +703,7 @@ simulate(const ServingSpec &spec)
             break;
           case kEvCompletion:
             finalizeLeg(ev.payload / 2, int(ev.payload % 2));
+            retireLeg(ev.payload / 2);
             // Completions free no capacity (the initiation interval
             // does, via server-ready), so no dispatch attempt here.
             continue;
@@ -733,7 +758,9 @@ simulate(const ServingSpec &spec)
             if (state[id] == RState::Queued) {
                 auto &q = queues[std::size_t(
                     rep.requests[id].stream)];
-                q.erase(std::find(q.begin(), q.end(), id));
+                q.erase(std::find_if(
+                    q.begin(), q.end(),
+                    [&](const QueueEntry &e) { return e.id == id; }));
                 advanceDepth(ev.t);
                 --waiting;
                 noteDepth(ev.t);
@@ -754,6 +781,12 @@ simulate(const ServingSpec &spec)
         inca_assert(q.empty(), "simulation ended with queued work");
     inca_assert(unresolved == 0,
                 "simulation ended with unresolved requests");
+    inca_assert(freeSlots.size() == slots.size(),
+                "simulation ended with %zu live batch slots",
+                slots.size() - freeSlots.size());
+    // Loop-only state goes before the roll-up allocates latencies.
+    std::vector<RState>().swap(state);
+    std::vector<Batch>().swap(slots);
 
     // ---- Roll-ups. -----------------------------------------------
     std::vector<double> latencies;

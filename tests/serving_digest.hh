@@ -20,6 +20,7 @@
 #define INCA_TESTS_SERVING_DIGEST_HH
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,20 +104,22 @@ struct ServingDigests
 {
     std::uint64_t json;     ///< reportJson without the provenance
     std::uint64_t requests; ///< requestsCsv
-    std::uint64_t timeline; ///< timelineCsv
+    std::uint64_t timeline; ///< timelineCsv, as streamed by the run
 };
 
-/** Digest @p rep's exports (see the file comment). */
+/** Simulate @p spec and digest its exports (see the file comment). */
 inline ServingDigests
-servingDigests(const serving::ServingReport &rep)
+servingDigests(const serving::ServingSpec &spec)
 {
+    std::ostringstream timeline;
+    const serving::ServingReport rep =
+        serving::simulate(spec, serving::timelineCsv(timeline));
     // The provenance block records host state (threads, build,
     // environment), not simulated results.
     const std::string json = serving::reportJson(rep);
     return ServingDigests{
         fnv1a64(json.substr(0, json.find("\n  \"provenance\""))),
-        fnv1a64(serving::requestsCsv(rep)),
-        fnv1a64(serving::timelineCsv(rep))};
+        fnv1a64(serving::requestsCsv(rep)), fnv1a64(timeline.str())};
 }
 
 } // namespace inca

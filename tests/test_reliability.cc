@@ -281,8 +281,9 @@ TEST(RetryProperty, PulsesMonotoneInBudgetAndSoftErrorsRetryAway)
             // A shallow budget can exhaust on an unlucky cell (the
             // residual soft BER is p^(R+1), not zero), but at 12
             // retries 0.2^13 ~ 8e-10 -- residual-free in practice.
-            if (retries >= 12)
+            if (retries >= 12) {
                 EXPECT_EQ(array.residualErrors(), 0);
+            }
         }
     }
 }

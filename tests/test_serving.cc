@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cache.hh"
@@ -363,7 +365,9 @@ TEST(Simulator, StaticEnergyScalesWithChips)
 
 TEST(Simulator, ExportsAreWellFormed)
 {
-    const ServingReport rep = simulate(tinySpec());
+    std::ostringstream timelineOut;
+    const ServingReport rep =
+        simulate(tinySpec(), timelineCsv(timelineOut));
     const std::string json = reportJson(rep);
     testutil::JsonLint lint(json);
     EXPECT_TRUE(lint.valid()) << "bad JSON near byte "
@@ -372,10 +376,10 @@ TEST(Simulator, ExportsAreWellFormed)
     const std::size_t rows =
         std::size_t(std::count(csv.begin(), csv.end(), '\n'));
     EXPECT_EQ(rows, rep.requests.size() + 1);
-    const std::string timeline = timelineCsv(rep);
-    EXPECT_EQ(std::size_t(std::count(timeline.begin(),
-                                     timeline.end(), '\n')),
-              rep.queueTimeline.size() + 1);
+    const std::string timeline = timelineOut.str();
+    EXPECT_EQ(std::uint64_t(std::count(timeline.begin(),
+                                       timeline.end(), '\n')),
+              rep.timelinePoints + 1);
 }
 
 // ---------------------------------------------------------------
@@ -389,10 +393,46 @@ TEST(ServingMatrix, ExportDigestsMatchGoldenTable)
         const ServingGolden &g = kServingGoldens[i];
         SCOPED_TRACE(cases[i].name);
         ASSERT_EQ(cases[i].name, g.name);
-        const ServingDigests d = servingDigests(simulate(cases[i].spec));
+        const ServingDigests d = servingDigests(cases[i].spec);
         EXPECT_EQ(d.json, g.json);
         EXPECT_EQ(d.requests, g.requests);
         EXPECT_EQ(d.timeline, g.timeline);
+    }
+}
+
+// The streamed timeline against the report's inline depth statistics:
+// the depth integral is re-accumulated in the loop's own order, so the
+// mean depth must match to the last bit.
+TEST(ServingMatrix, TimelineObserverMatchesTheReport)
+{
+    const std::vector<ServingDigestCase> cases = servingDigestCases();
+    ASSERT_EQ(std::size(kServingGoldens), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE(cases[i].name);
+        std::vector<std::pair<Seconds, std::uint64_t>> points;
+        std::ostringstream csv;
+        const DepthObserver toCsv = timelineCsv(csv);
+        const ServingReport rep = simulate(
+            cases[i].spec, [&](Seconds t, std::uint64_t depth) {
+                points.emplace_back(t, depth);
+                toCsv(t, depth);
+            });
+        ASSERT_EQ(points.size(), rep.timelinePoints);
+        ASSERT_FALSE(points.empty());
+        EXPECT_EQ(points.back().second, 0u);
+        Seconds lastT = 0.0;
+        std::uint64_t depth = 0, maxDepth = 0;
+        double integral = 0.0;
+        for (const auto &[t, next] : points) {
+            ASSERT_GE(t, lastT);
+            integral += double(depth) * (t - lastT);
+            lastT = t;
+            depth = next;
+            maxDepth = std::max(maxDepth, depth);
+        }
+        EXPECT_EQ(maxDepth, rep.maxQueueDepth);
+        EXPECT_EQ(integral / rep.makespanS, rep.meanQueueDepth);
+        EXPECT_EQ(fnv1a64(csv.str()), kServingGoldens[i].timeline);
     }
 }
 
